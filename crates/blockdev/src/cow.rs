@@ -81,16 +81,56 @@ impl CowImage {
     ///
     /// Panics if the range extends past the image (devices bound-check
     /// before calling).
-    pub fn read(&self, mut offset: usize, buf: &mut [u8]) {
-        assert!(offset + buf.len() <= self.len, "cow read out of range");
+    pub fn read(&self, offset: usize, buf: &mut [u8]) {
         let mut done = 0;
-        while done < buf.len() {
+        for seg in self.segments(offset, buf.len()) {
+            buf[done..done + seg.len()].copy_from_slice(seg);
+            done += seg.len();
+        }
+    }
+
+    /// Borrows `[offset, offset + len)` in place: one slice per chunk the
+    /// range touches, in order. Nothing is copied.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range extends past the image.
+    pub fn segments(&self, offset: usize, len: usize) -> impl Iterator<Item = &[u8]> {
+        assert!(offset + len <= self.len, "cow read out of range");
+        let (mut offset, end) = (offset, offset + len);
+        std::iter::from_fn(move || {
+            if offset >= end {
+                return None;
+            }
             let (ci, co) = (offset / self.chunk_size, offset % self.chunk_size);
             let chunk = &self.chunks[ci];
-            let n = (chunk.len() - co).min(buf.len() - done);
-            buf[done..done + n].copy_from_slice(&chunk[co..co + n]);
-            done += n;
+            let n = (chunk.len() - co).min(end - offset);
             offset += n;
+            Some(&chunk[co..co + n])
+        })
+    }
+
+    /// Borrows chunk `index` in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is not a chunk of this image.
+    pub fn chunk(&self, index: usize) -> &[u8] {
+        &self.chunks[index]
+    }
+
+    /// Whether chunk `index` holds the same bytes here and in `other`: a
+    /// pointer compare while the two images still share the chunk, a byte
+    /// compare otherwise — the rule [`PartialEq`] applies to whole images.
+    /// Images chunked differently, or too short to have chunk `index`, never
+    /// compare equal here.
+    pub fn chunk_eq(&self, index: usize, other: &CowImage) -> bool {
+        if self.chunk_size != other.chunk_size {
+            return false;
+        }
+        match (self.chunks.get(index), other.chunks.get(index)) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b) || a == b,
+            _ => false,
         }
     }
 
@@ -208,11 +248,7 @@ impl PartialEq for CowImage {
             return false;
         }
         if self.chunk_size == other.chunk_size {
-            return self
-                .chunks
-                .iter()
-                .zip(&other.chunks)
-                .all(|(a, b)| Arc::ptr_eq(a, b) || a == b);
+            return (0..self.chunks.len()).all(|i| self.chunk_eq(i, other));
         }
         self.to_vec() == other.to_vec()
     }
@@ -283,6 +319,30 @@ mod tests {
         a.copy_from(&b);
         assert_eq!(a.to_vec(), b.to_vec());
         assert_eq!(a.chunk_size(), 4, "keeps its own chunking");
+    }
+
+    #[test]
+    fn segments_borrow_across_chunk_boundaries() {
+        let mut img = CowImage::new(12, 4, 0);
+        img.write(0, &[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12]);
+        let segs: Vec<&[u8]> = img.segments(3, 6).collect();
+        assert_eq!(segs, vec![&[4u8][..], &[5, 6, 7, 8], &[9]]);
+        assert_eq!(img.segments(12, 0).count(), 0);
+        assert_eq!(img.chunk(2), &[9, 10, 11, 12]);
+    }
+
+    #[test]
+    fn chunk_eq_is_by_content_per_chunk() {
+        let mut a = CowImage::new(8, 4, 0);
+        let shared = a.clone();
+        assert!(a.chunk_eq(0, &shared) && a.chunk_eq(1, &shared));
+        a.write(0, &[1]); // chunk 0 unshared and different
+        assert!(!a.chunk_eq(0, &shared));
+        assert!(a.chunk_eq(1, &shared));
+        a.write(0, &[0]); // unshared again, but the same bytes
+        assert!(a.chunk_eq(0, &shared));
+        assert!(!a.chunk_eq(2, &shared), "no such chunk");
+        assert!(!a.chunk_eq(0, &CowImage::new(8, 2, 0)), "other chunking");
     }
 
     #[test]

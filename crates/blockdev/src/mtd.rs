@@ -126,6 +126,11 @@ impl MtdDevice {
         self.injected.set(0);
     }
 
+    /// The installed fault plan, if any.
+    pub fn fault_plan(&self) -> Option<FaultPlan> {
+        self.plan
+    }
+
     /// Number of faults injected so far.
     pub fn faults_injected(&self) -> u64 {
         self.injected.get()
@@ -213,6 +218,38 @@ impl MtdDevice {
         Ok(())
     }
 
+    /// Borrows erase block `index` in place — a whole-block [`read`] without
+    /// the copy. It counts as one read at the block's offset, so a fault
+    /// plan sees exactly what [`read`] would show it.
+    ///
+    /// # Errors
+    ///
+    /// [`MtdError::OutOfRange`] if there is no such erase block.
+    ///
+    /// [`read`]: MtdDevice::read
+    pub fn read_erase_block(&self, index: usize) -> Result<&[u8], MtdError> {
+        if index >= self.num_erase_blocks() {
+            return Err(MtdError::OutOfRange);
+        }
+        let offset = (index * self.erase_block_size) as u64;
+        if self
+            .next_fault(FaultKind::Read, &self.reads_seen, offset)
+            .is_some()
+        {
+            return Err(MtdError::Io(format!(
+                "injected read fault at offset {offset}"
+            )));
+        }
+        Ok(self.data.chunk(index))
+    }
+
+    /// The flash content, chunked one erase block per chunk. Reading it
+    /// bypasses the fault plan: callers use it to identify content, not to
+    /// model flash reads.
+    pub fn image(&self) -> &CowImage {
+        &self.data
+    }
+
     /// Programs (writes) `data` at `offset`.
     ///
     /// # Errors
@@ -228,16 +265,25 @@ impl MtdDevice {
             return Err(MtdError::OutOfRange);
         }
         if self.strict_program_check {
-            let mut old = vec![0u8; data.len()];
-            self.data.read(offset as usize, &mut old);
-            for (i, (old, new)) in old.iter().zip(data).enumerate() {
-                // Programming can only clear bits: new must not have a 1
-                // where old has a 0.
-                if *new & !*old != 0 {
+            // Programming can only clear bits: new must not have a 1 where
+            // old has a 0. Checked in place, one chunk-sized slice at a time;
+            // the branch-free OR-fold vectorizes, and only a failing program
+            // pays for locating the byte.
+            let mut done = 0;
+            for old in self.data.segments(offset as usize, data.len()) {
+                let new = &data[done..done + old.len()];
+                let sets = |(o, n): (&u8, &u8)| n & !o;
+                if old.iter().zip(new).map(sets).fold(0, |acc, b| acc | b) != 0 {
+                    let i = old
+                        .iter()
+                        .zip(new)
+                        .position(|p| sets(p) != 0)
+                        .expect("the fold saw a bit set from 0 to 1");
                     return Err(MtdError::ProgramWithoutErase {
-                        offset: offset + i as u64,
+                        offset: offset + (done + i) as u64,
                     });
                 }
+                done += old.len();
             }
         }
         match self.next_fault(FaultKind::Write, &self.programs_seen, offset) {
@@ -552,6 +598,34 @@ mod tests {
         assert_eq!(buf, [0x11, 0x22, 0xFF, 0xFF]);
         mtd.set_fault_plan(None);
         mtd.program(0, &[0x11, 0x22, 0x33, 0x44]).unwrap();
+    }
+
+    #[test]
+    fn read_erase_block_borrows_and_counts_like_read() {
+        let mut mtd = MtdDevice::new(64, 4).unwrap();
+        mtd.program(64, b"eb1").unwrap();
+        assert_eq!(&mtd.read_erase_block(1).unwrap()[..4], b"eb1\xFF");
+        assert_eq!(mtd.read_erase_block(1).unwrap().len(), 64);
+        assert_eq!(mtd.read_erase_block(4), Err(MtdError::OutOfRange));
+        // Borrowed and copying reads share one read ordinal.
+        mtd.set_fault_plan(Some(FaultPlan::eio(FaultKind::Read, 1, 1)));
+        let mut buf = [0u8; 64];
+        mtd.read(0, &mut buf).unwrap();
+        assert!(matches!(mtd.read_erase_block(2), Err(MtdError::Io(_))));
+        // Healed; and an address-scoped plan sees the block's offset.
+        mtd.read_erase_block(2).unwrap();
+        mtd.set_fault_plan(Some(FaultPlan::eio(FaultKind::Read, 0, 1).at_addr(128)));
+        mtd.read_erase_block(1).unwrap();
+        assert!(matches!(mtd.read_erase_block(2), Err(MtdError::Io(_))));
+        assert_eq!(mtd.fault_plan().map(|p| p.addr), Some(Some(128)));
+    }
+
+    #[test]
+    fn strict_program_check_reports_the_first_offending_byte() {
+        let mut mtd = MtdDevice::new(64, 4).unwrap();
+        mtd.program(60, &[0x00; 8]).unwrap(); // spans erase blocks 0 and 1
+        let err = mtd.program(62, &[0x00, 0x00, 0x00, 0x01]).unwrap_err();
+        assert_eq!(err, MtdError::ProgramWithoutErase { offset: 65 });
     }
 
     #[test]

@@ -86,7 +86,8 @@ pub struct McfsConfig {
     /// Delta-debug every violation's trace down to a 1-minimal
     /// counterexample before reporting it ([`crate::shrink`]). Requires a
     /// harness factory ([`Mcfs::set_factory`]) so each candidate replays on
-    /// a *fresh* pair; without one the flag is inert. Off by default:
+    /// a *fresh* pair; without one no minimization runs and each violation
+    /// records why in `Violation::shrink_skipped`. Off by default:
     /// minimization costs replays at violation time.
     pub minimize_violations: bool,
     /// Drive partial-order reduction off the original hand-written
@@ -363,7 +364,8 @@ impl Mcfs {
     /// Attaches the replay factory counterexample minimization validates
     /// against. The factory must rebuild a harness equivalent to this one —
     /// same targets, same seeded bugs, same fault plans — deterministically;
-    /// [`McfsConfig::minimize_violations`] does nothing without it.
+    /// without it, [`McfsConfig::minimize_violations`] only records a skip
+    /// reason on each violation.
     pub fn set_factory(&mut self, factory: Arc<HarnessFactory>) {
         self.factory = Some(factory);
     }
@@ -978,6 +980,12 @@ impl ModelSystem for Mcfs {
             &crate::shrink::ShrinkConfig::default(),
         )
         .map(|o| (o.trace, o.stats))
+    }
+
+    fn minimize_unavailable(&self) -> Option<&'static str> {
+        (self.cfg.minimize_violations && self.factory.is_none()).then_some(
+            "minimize_violations is set but no harness factory is attached (Mcfs::set_factory)",
+        )
     }
 
     fn independent(&self, a: &FsOp, b: &FsOp) -> bool {

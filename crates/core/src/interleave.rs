@@ -110,7 +110,8 @@ pub struct ThreadedMcfsConfig {
     /// sequential reference execution. **On** by default — it is the point.
     pub check_linearizability: bool,
     /// Delta-debug violating schedules at record time (needs a factory,
-    /// [`ThreadedMcfs::set_factory`]).
+    /// [`ThreadedMcfs::set_factory`]; without one each violation records
+    /// why it was not minimized in `Violation::shrink_skipped`).
     pub minimize_violations: bool,
     /// Cap on thread-cut enumerations per crash (the cut lattice is
     /// `Π(pc_t − floor_t + 1)`); past the cap the crash oracle falls back
@@ -342,8 +343,8 @@ impl ThreadedMcfs {
     }
 
     /// Attaches the replay factory counterexample minimization validates
-    /// against; [`ThreadedMcfsConfig::minimize_violations`] does nothing
-    /// without it.
+    /// against; without it, [`ThreadedMcfsConfig::minimize_violations`]
+    /// only records a skip reason on each violation.
     pub fn set_factory(&mut self, factory: Arc<ThreadedHarnessFactory>) {
         self.factory = Some(factory);
     }
@@ -1065,6 +1066,12 @@ impl ModelSystem for ThreadedMcfs {
         let out = shrink_threaded_trace(&*factory, trace, message, &ShrinkConfig::default())?;
         Some((out.schedule, out.stats))
     }
+
+    fn minimize_unavailable(&self) -> Option<&'static str> {
+        (self.cfg.minimize_violations && self.factory.is_none()).then_some(
+            "minimize_violations is set but no harness factory is attached (ThreadedMcfs::set_factory)",
+        )
+    }
 }
 
 /// A successful schedule minimization.
@@ -1375,6 +1382,32 @@ mod tests {
         let mut fresh = factory(&out.schedule).unwrap();
         let (_, msg2) = fresh.replay_schedule(&out.schedule).expect("reproduces");
         assert_eq!(msg2, msg);
+    }
+
+    #[test]
+    fn minimize_without_a_factory_reports_why() {
+        let cfg = ThreadedMcfsConfig {
+            minimize_violations: true,
+            ..ThreadedMcfsConfig::default()
+        };
+        let sched = hole_schedule();
+        let mut sys = ThreadedMcfs::from_schedule(buggy_single(), &sched, cfg.clone()).unwrap();
+        let reason = sys.minimize_unavailable().expect("no factory: a reason");
+        assert!(reason.contains("factory"), "{reason}");
+        sys.set_factory(Arc::new(|s: &[SchedStep]| {
+            ThreadedMcfs::from_schedule(buggy_single(), s, ThreadedMcfsConfig::default())
+        }));
+        assert_eq!(sys.minimize_unavailable(), None);
+        let off = ThreadedMcfs::from_schedule(
+            buggy_single(),
+            &sched,
+            ThreadedMcfsConfig {
+                minimize_violations: false,
+                ..cfg
+            },
+        )
+        .unwrap();
+        assert_eq!(off.minimize_unavailable(), None, "not asked for");
     }
 
     #[test]

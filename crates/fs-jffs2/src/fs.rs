@@ -1,14 +1,15 @@
 //! The JFFS2-style log-structured engine: scan, append, garbage-collect.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::sync::Arc;
 
-use blockdev::{BlockDevice, Clock, FaultPhase, MtdBlock, MtdDevice};
+use blockdev::{BlockDevice, Clock, CowImage, FaultPhase, MtdBlock, MtdDevice};
 use vfs::{
     path, AccessMode, DeviceBacked, DirEntry, Errno, Fd, FdTable, FileMode, FileStat, FileSystem,
     FileType, FsCapabilities, Ino, OpenFlags, RepairReport, StatFs, VfsResult, XattrFlags,
 };
 
-use crate::log::{Node, FT_DIR, FT_REG, FT_SYMLINK};
+use crate::log::{Node, NodeHeader, FT_DIR, FT_REG, FT_SYMLINK};
 
 const MAX_NLINK: u32 = 32_000;
 
@@ -62,7 +63,7 @@ struct Loc {
     len: u32,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct InodeInfo {
     ftype: u8,
     mode: u16,
@@ -71,8 +72,10 @@ struct InodeInfo {
     atime: u64,
     mtime: u64,
     ctime: u64,
-    /// Current whole content (files: data; symlinks: target bytes).
-    content: Vec<u8>,
+    /// Current whole content (files: data; symlinks: target bytes). Shared
+    /// with the scan memo's copy of the index until either side writes
+    /// (`Arc::make_mut`), so handing out a memoized index copies no content.
+    content: Arc<Vec<u8>>,
     /// Latest inode node (metadata winner).
     meta_loc: Loc,
     /// The data fragments of the latest content rewrite, in offset order.
@@ -92,7 +95,7 @@ impl InodeInfo {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct DirentInfo {
     /// Target inode; 0 is a live deletion marker (must survive GC so older
     /// positive dirents can never resurrect the name on rescan).
@@ -101,7 +104,7 @@ struct DirentInfo {
     loc: Loc,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct XattrInfo {
     value: Vec<u8>,
     delete: bool,
@@ -120,7 +123,7 @@ struct OpenFile {
 /// What a full-flash scan found: the rebuilt index plus everything the
 /// scanner had to tolerate (used by [`FileSystem::fsck`] to report and
 /// persist repairs; `mount` keeps only the index).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct ScanOutcome {
     m: Mounted,
     /// Nodes successfully decoded.
@@ -149,6 +152,23 @@ struct Mounted {
     time: u64,
 }
 
+/// The last memoized full-flash scan, kept so that scanning the same bytes
+/// again skips the decode. The key is the flash *content*: `image` is
+/// compared with the live flash one erase block at a time
+/// ([`CowImage::chunk_eq`]), never by address or write counter.
+#[derive(Debug, Clone)]
+struct ScanMemo {
+    /// The flash as scanned: a copy-on-write clone, sharing every erase
+    /// block with the device until one side rewrites it.
+    image: CowImage,
+    /// Per erase block: whether its whole node stream passed the CRC. Only
+    /// such blocks, when unchanged, may skip it on a rescan; a quarantined
+    /// block is checked again every time.
+    verified: Vec<bool>,
+    /// What the scan produced (the index, with no decoded node data).
+    outcome: ScanOutcome,
+}
+
 /// A JFFS2-style file system on a simulated MTD device.
 ///
 /// Construct with [`Jffs2Fs::format`], then [`mount`](FileSystem::mount)
@@ -158,6 +178,7 @@ pub struct Jffs2Fs {
     dev: MtdBlock,
     config: Jffs2Config,
     m: Option<Mounted>,
+    memo: Option<ScanMemo>,
 }
 
 impl Jffs2Fs {
@@ -197,6 +218,7 @@ impl Jffs2Fs {
             dev,
             config,
             m: None,
+            memo: None,
         })
     }
 
@@ -207,6 +229,7 @@ impl Jffs2Fs {
             dev,
             config,
             m: None,
+            memo: None,
         })
     }
 
@@ -760,7 +783,64 @@ impl Jffs2Fs {
     /// conditions are recorded in the [`ScanOutcome`] so `fsck` can report
     /// and persist the repairs; `mount` applies them silently, as real
     /// JFFS2's scanner does.
+    ///
+    /// The outcome is a pure function of the flash bytes, so the last one is
+    /// memoized ([`ScanMemo`]). If every erase block still holds the bytes
+    /// it was scanned with, the memoized outcome is returned as is;
+    /// otherwise the flash is rescanned, and unchanged blocks that passed
+    /// the CRC last time skip it. Either way the modelled read of the whole
+    /// flash is charged, so the virtual clock cannot tell. Under a fault
+    /// plan every read is observable (ordinals, phase filters): the scan
+    /// then reads and verifies everything and leaves the memo alone.
+    ///
+    /// A rescan is memoized only if every erase block it read is also held
+    /// by another image (a device snapshot, as the checker takes of every
+    /// state it mounts). The memo then never becomes the only holder of
+    /// flash bytes that later writes replace, and costs no memory beyond
+    /// its index.
     fn scan(&mut self) -> VfsResult<ScanOutcome> {
+        let num = self.num_eb() as usize;
+        if self.dev.mtd().fault_plan().is_some() {
+            return Ok(self.scan_flash(&vec![false; num])?.0);
+        }
+        let mut trusted = vec![false; num];
+        if let Some(memo) = self.memo.take() {
+            let live = self.dev.mtd().image();
+            if (0..num).all(|b| memo.image.chunk_eq(b, live)) {
+                for _ in 0..num {
+                    self.charge_read(self.ebs() as u64);
+                }
+                let outcome = memo.outcome.clone();
+                // Adopt the live blocks: equal bytes in separate buffers
+                // would otherwise be held twice.
+                self.memo = Some(ScanMemo {
+                    image: live.clone(),
+                    ..memo
+                });
+                return Ok(outcome);
+            }
+            for (b, t) in trusted.iter_mut().enumerate() {
+                *t = memo.verified[b] && memo.image.chunk_eq(b, live);
+            }
+            // The stale memo (its index and the blocks only it still
+            // holds) is dropped here, before the rescan builds a new one.
+        }
+        let (outcome, verified) = self.scan_flash(&trusted)?;
+        let image = self.dev.mtd().image();
+        if image.shared_bytes() == image.len() {
+            self.memo = Some(ScanMemo {
+                image: image.clone(),
+                verified,
+                outcome: outcome.clone(),
+            });
+        }
+        Ok(outcome)
+    }
+
+    /// Reads and decodes every erase block, skipping the CRC of the
+    /// `trusted` ones (bytes an earlier scan already verified). Returns the
+    /// outcome and, per block, whether its node stream decoded cleanly.
+    fn scan_flash(&self, trusted: &[bool]) -> VfsResult<(ScanOutcome, Vec<bool>)> {
         let ebs = self.ebs();
         let num = self.num_eb();
         // Full-device scan: collect every node with its location.
@@ -768,15 +848,25 @@ impl Jffs2Fs {
         let mut used = vec![0u32; num as usize];
         let mut quarantined: Vec<(u32, u32)> = Vec::new();
         for blk in 0..num {
-            let mut block = vec![0u8; ebs as usize];
-            self.dev
+            let block = self
+                .dev
                 .mtd()
-                .read(blk as u64 * ebs as u64, &mut block)
+                .read_erase_block(blk as usize)
                 .map_err(|_| Errno::EIO)?;
             self.charge_read(ebs as u64);
             let mut off = 0usize;
             while off < ebs as usize {
-                match Node::decode(&block[off..]) {
+                let buf = &block[off..];
+                let decoded = NodeHeader::read(buf).and_then(|header| {
+                    let Some(header) = header else {
+                        return Ok(None);
+                    };
+                    if !trusted[blk as usize] {
+                        header.verify(buf)?;
+                    }
+                    Ok(Some((Node::parse(&header, buf)?, header.total)))
+                });
+                match decoded {
                     Ok(Some((node, len))) => {
                         nodes.push((
                             node,
@@ -802,6 +892,9 @@ impl Jffs2Fs {
             }
             used[blk as usize] = off as u32;
         }
+        let verified = (0..num)
+            .map(|b| !quarantined.iter().any(|&(q, _)| q == b))
+            .collect();
         // Apply in version order so later nodes win.
         let nodes_seen = nodes.len();
         nodes.sort_by_key(|(n, _)| n.version());
@@ -845,11 +938,12 @@ impl Jffs2Fs {
                             info.ctime = ctime;
                             // Every node carries the file size at its time:
                             // metadata-only nodes implement truncate.
-                            info.content.resize(isize as usize, 0);
+                            let content = Arc::make_mut(&mut info.content);
+                            content.resize(isize as usize, 0);
                             if let Some(d) = data {
-                                let end = (offset as usize + d.len()).min(info.content.len());
+                                let end = (offset as usize + d.len()).min(content.len());
                                 let n = end.saturating_sub(offset as usize);
-                                info.content[offset as usize..end].copy_from_slice(&d[..n]);
+                                content[offset as usize..end].copy_from_slice(&d[..n]);
                                 if rewrite {
                                     // A rewrite starts: previous fragments die.
                                     info.data_locs = vec![loc];
@@ -883,7 +977,7 @@ impl Jffs2Fs {
                                     atime,
                                     mtime,
                                     ctime,
-                                    content,
+                                    content: Arc::new(content),
                                     meta_loc: loc,
                                     data_locs: if has_data { vec![loc] } else { Vec::new() },
                                 },
@@ -940,7 +1034,7 @@ impl Jffs2Fs {
             .filter(|&b| used[b as usize] > 0)
             .min_by_key(|&b| used[b as usize])
             .unwrap_or(0);
-        Ok(ScanOutcome {
+        let outcome = ScanOutcome {
             m: Mounted {
                 inodes,
                 dirents,
@@ -957,7 +1051,8 @@ impl Jffs2Fs {
             nodes_seen: nodes_seen as u64,
             quarantined,
             orphan_dirents,
-        })
+        };
+        Ok((outcome, verified))
     }
 
     /// The repair pipeline behind [`FileSystem::fsck`] (fault-phase
@@ -1031,7 +1126,7 @@ impl Jffs2Fs {
                         atime: 0,
                         mtime: 0,
                         ctime: 0,
-                        content: Vec::new(),
+                        content: Arc::default(),
                         meta_loc: loc,
                         data_locs: Vec::new(),
                     },
@@ -1144,7 +1239,7 @@ impl FileSystem for Jffs2Fs {
                 atime: now,
                 mtime: now,
                 ctime: now,
-                content: Vec::new(),
+                content: Arc::default(),
                 meta_loc: loc,
                 data_locs: vec![loc],
             },
@@ -1182,7 +1277,7 @@ impl FileSystem for Jffs2Fs {
         }
         if flags.trunc && flags.write {
             let m = self.m()?;
-            m.inodes.get_mut(&ino).expect("resolved").content.clear();
+            m.inodes.get_mut(&ino).expect("resolved").content = Arc::default();
             self.flush_inode(ino, true)?;
         }
         self.m()?.fds.insert(OpenFile {
@@ -1258,10 +1353,11 @@ impl FileSystem for Jffs2Fs {
         {
             let m = self.m()?;
             let info = m.inodes.get_mut(&of.ino).expect("open file");
-            if new_len as usize > info.content.len() {
-                info.content.resize(new_len as usize, 0);
+            let content = Arc::make_mut(&mut info.content);
+            if new_len as usize > content.len() {
+                content.resize(new_len as usize, 0);
             }
-            info.content[offset as usize..offset as usize + data.len()].copy_from_slice(data);
+            content[offset as usize..offset as usize + data.len()].copy_from_slice(data);
             info.mtime = now;
             info.ctime = now;
         }
@@ -1292,7 +1388,7 @@ impl FileSystem for Jffs2Fs {
         {
             let m = self.m()?;
             let info = m.inodes.get_mut(&ino).expect("resolved");
-            info.content.resize(size as usize, 0);
+            Arc::make_mut(&mut info.content).resize(size as usize, 0);
             info.mtime = now;
             info.ctime = now;
         }
@@ -1338,7 +1434,7 @@ impl FileSystem for Jffs2Fs {
                 atime: now,
                 mtime: now,
                 ctime: now,
-                content: Vec::new(),
+                content: Arc::default(),
                 meta_loc: loc,
                 data_locs: Vec::new(),
             },
@@ -1554,7 +1650,7 @@ impl FileSystem for Jffs2Fs {
                 atime: now,
                 mtime: now,
                 ctime: now,
-                content: target.as_bytes().to_vec(),
+                content: Arc::new(target.as_bytes().to_vec()),
                 meta_loc: loc,
                 data_locs: vec![loc],
             },
@@ -1568,7 +1664,7 @@ impl FileSystem for Jffs2Fs {
         if info.ftype != FT_SYMLINK {
             return Err(Errno::EINVAL);
         }
-        String::from_utf8(info.content.clone()).map_err(|_| Errno::EIO)
+        String::from_utf8(info.content.to_vec()).map_err(|_| Errno::EIO)
     }
 
     fn access(&mut self, p: &str, mode: AccessMode) -> VfsResult<()> {
@@ -1731,6 +1827,9 @@ impl DeviceBacked for Jffs2Fs {
         self.mount()
     }
 }
+
+#[cfg(test)]
+mod scan_memo_tests;
 
 #[cfg(test)]
 mod tests {
@@ -1987,7 +2086,7 @@ mod tests {
     }
 
     /// First flash address in `blk` past the last decodable node.
-    fn log_end(fs: &Jffs2Fs, blk: u32) -> u64 {
+    pub(super) fn log_end(fs: &Jffs2Fs, blk: u32) -> u64 {
         let ebs = fs.dev.mtd().erase_block_size() as u64;
         let mut buf = vec![0u8; ebs as usize];
         fs.dev.mtd().read(blk as u64 * ebs, &mut buf).unwrap();

@@ -8,7 +8,9 @@
 //! * everything is a versioned **node** appended to the log (inode nodes,
 //!   dirent nodes with deletion markers, xattr nodes);
 //! * **mount scans the whole flash**, replaying nodes in version order to
-//!   rebuild the in-memory index — JFFS2's famously slow mount;
+//!   rebuild the in-memory index — JFFS2's famously slow mount. The virtual
+//!   clock is charged for every block; the host work is memoized on the
+//!   flash content, so remounting unchanged flash skips the decode;
 //! * **garbage collection** copies live nodes out of the dirtiest erase
 //!   block and erases it, tracking per-block wear;
 //! * flash timing (program/erase/read) is charged to an optional virtual

@@ -34,6 +34,62 @@ pub fn node_crc(bytes: &[u8]) -> u32 {
     hash
 }
 
+/// A node's common header, checked for framing (magic, type-independent
+/// length bounds) but not yet for its CRC.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NodeHeader {
+    /// Node type tag.
+    pub ntype: u8,
+    /// Total (padded) on-flash length, header included.
+    pub total: usize,
+    crc: u32,
+}
+
+impl NodeHeader {
+    /// Frames the node at the start of `buf`. Returns `Ok(None)` when `buf`
+    /// starts with erased (0xFF) or zeroed flash: the end of the log.
+    ///
+    /// # Errors
+    ///
+    /// `EIO` for a wrong magic or a length that is short, unaligned or runs
+    /// past `buf`.
+    pub fn read(buf: &[u8]) -> VfsResult<Option<NodeHeader>> {
+        if buf.len() < HEADER_LEN {
+            return Ok(None);
+        }
+        let magic = u16::from_le_bytes([buf[0], buf[1]]);
+        if magic == 0xFFFF || magic == 0 {
+            return Ok(None);
+        }
+        if magic != NODE_MAGIC {
+            return Err(Errno::EIO);
+        }
+        let total = u32::from_le_bytes([buf[3], buf[4], buf[5], buf[6]]) as usize;
+        if total < HEADER_LEN || total > buf.len() || !total.is_multiple_of(4) {
+            return Err(Errno::EIO);
+        }
+        Ok(Some(NodeHeader {
+            ntype: buf[2],
+            total,
+            crc: u32::from_le_bytes([buf[7], buf[8], buf[9], buf[10]]),
+        }))
+    }
+
+    /// Checks the node's CRC over its post-header bytes in `buf` (the same
+    /// buffer the header was read from).
+    ///
+    /// # Errors
+    ///
+    /// `EIO` on a mismatch (torn program, bit rot).
+    pub fn verify(&self, buf: &[u8]) -> VfsResult<()> {
+        if self.crc == node_crc(&buf[HEADER_LEN..self.total]) {
+            Ok(())
+        } else {
+            Err(Errno::EIO)
+        }
+    }
+}
+
 /// Node type tags.
 pub const NT_INODE: u8 = 1;
 /// Dirent node tag.
@@ -204,33 +260,40 @@ impl Node {
 
     /// Decodes one node from the start of `buf`, returning it and its total
     /// (padded) on-flash length. Returns `Ok(None)` when `buf` starts with
-    /// erased flash (no node).
+    /// erased flash (no node). This is [`NodeHeader::read`], then
+    /// [`NodeHeader::verify`], then [`Node::parse`].
     ///
     /// # Errors
     ///
     /// `EIO` for structurally corrupt nodes, including CRC mismatches
     /// (torn programs, bit rot).
     pub fn decode(buf: &[u8]) -> VfsResult<Option<(Node, usize)>> {
-        if buf.len() < HEADER_LEN {
+        let Some(header) = NodeHeader::read(buf)? else {
             return Ok(None);
-        }
-        let magic = u16::from_le_bytes([buf[0], buf[1]]);
-        if magic == 0xFFFF || magic == 0 {
-            return Ok(None); // erased (0xFF) or zeroed region: end of log
-        }
-        if magic != NODE_MAGIC {
+        };
+        header.verify(buf)?;
+        Ok(Some((Node::parse(&header, buf)?, header.total)))
+    }
+
+    /// Parses the body of the node framed by `header` at the start of `buf`,
+    /// without checking its CRC. Only bytes that already passed
+    /// [`NodeHeader::verify`] may be parsed this way.
+    ///
+    /// # Errors
+    ///
+    /// `EIO` for an unknown node type or a body too short for its fields.
+    pub fn parse(header: &NodeHeader, buf: &[u8]) -> VfsResult<Node> {
+        let b = &buf[HEADER_LEN..header.total];
+        // The fixed fields of each node type (see `encode`).
+        let fixed = match header.ntype {
+            NT_INODE => 65,
+            NT_DIRENT => 18,
+            NT_XATTR => 16,
+            _ => 0,
+        };
+        if b.len() < fixed {
             return Err(Errno::EIO);
         }
-        let ntype = buf[2];
-        let total = u32::from_le_bytes([buf[3], buf[4], buf[5], buf[6]]) as usize;
-        if total < HEADER_LEN || total > buf.len() || !total.is_multiple_of(4) {
-            return Err(Errno::EIO);
-        }
-        let stored_crc = u32::from_le_bytes([buf[7], buf[8], buf[9], buf[10]]);
-        if stored_crc != node_crc(&buf[HEADER_LEN..total]) {
-            return Err(Errno::EIO);
-        }
-        let b = &buf[HEADER_LEN..total];
         let u16_at = |i: usize| u16::from_le_bytes([b[i], b[i + 1]]);
         let u32_at = |i: usize| u32::from_le_bytes([b[i], b[i + 1], b[i + 2], b[i + 3]]);
         let u64_at = |i: usize| {
@@ -238,7 +301,7 @@ impl Node {
             x.copy_from_slice(&b[i..i + 8]);
             u64::from_le_bytes(x)
         };
-        let node = match ntype {
+        let node = match header.ntype {
             NT_INODE => {
                 let ino = u32_at(0);
                 let version = u64_at(4);
@@ -254,6 +317,9 @@ impl Node {
                 let rewrite = b[63] != 0;
                 let has_data = b[64];
                 let data = if has_data != 0 {
+                    if b.len() < 69 {
+                        return Err(Errno::EIO);
+                    }
                     let dlen = u32_at(65) as usize;
                     if 69 + dlen > b.len() {
                         return Err(Errno::EIO);
@@ -321,7 +387,7 @@ impl Node {
             }
             _ => return Err(Errno::EIO),
         };
-        Ok(Some((node, total)))
+        Ok(node)
     }
 
     /// The node's version (used by scan to pick winners).
@@ -444,6 +510,37 @@ mod tests {
         let mut header = vec![0x85u8, 0x19, NT_INODE, 0xFF, 0xFF, 0xFF, 0x7F];
         header.resize(16, 0);
         assert_eq!(Node::decode(&header), Err(Errno::EIO));
+    }
+
+    #[test]
+    fn short_body_with_a_valid_crc_is_eio() {
+        // A dirent needs 18 fixed body bytes; this one has 5, and a CRC
+        // that matches them.
+        let mut bytes = vec![0x85u8, 0x19, NT_DIRENT, 16, 0, 0, 0, 0, 0, 0, 0];
+        bytes.resize(16, 0);
+        let crc = node_crc(&bytes[HEADER_LEN..]);
+        bytes[7..HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
+        let header = NodeHeader::read(&bytes).unwrap().unwrap();
+        assert_eq!(header.verify(&bytes), Ok(()));
+        assert_eq!(Node::parse(&header, &bytes), Err(Errno::EIO));
+        assert_eq!(Node::decode(&bytes), Err(Errno::EIO));
+    }
+
+    #[test]
+    fn parse_skips_the_crc_that_verify_checks() {
+        let good = Node::Dirent {
+            parent: 1,
+            version: 1,
+            ino: 2,
+            ftype: FT_REG,
+            name: "x".into(),
+        };
+        let mut bytes = good.encode();
+        bytes[HEADER_LEN + 4] ^= 0x01; // version 1 -> 0: body rot
+        let header = NodeHeader::read(&bytes).unwrap().unwrap();
+        assert_eq!(header.verify(&bytes), Err(Errno::EIO));
+        let parsed = Node::parse(&header, &bytes).unwrap();
+        assert_eq!(parsed.version(), 0, "parse trusts its caller");
     }
 
     #[test]

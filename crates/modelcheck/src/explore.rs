@@ -243,7 +243,8 @@ fn spill_init_failure<Op>(e: String) -> ExploreReport<Op> {
 
 /// Builds the [`Violation`] record for a just-detected violation, asking the
 /// system to minimize the counterexample ([`ModelSystem::minimize`] — a
-/// no-op unless the system enables it).
+/// no-op unless the system enables it), or to say why it cannot
+/// ([`ModelSystem::minimize_unavailable`]).
 pub(crate) fn record_violation<S: ModelSystem>(
     sys: &mut S,
     trace: Vec<S::Op>,
@@ -254,12 +255,17 @@ pub(crate) fn record_violation<S: ModelSystem>(
         Some((t, s)) => (Some(t), Some(s)),
         None => (None, None),
     };
+    let shrink_skipped = match minimized_trace {
+        Some(_) => None,
+        None => sys.minimize_unavailable().map(String::from),
+    };
     Violation {
         trace,
         message,
         ops_executed,
         minimized_trace,
         shrink,
+        shrink_skipped,
     }
 }
 

@@ -1219,6 +1219,10 @@ macro_rules! delegate_system {
             ) -> Option<(Vec<Self::Op>, crate::ShrinkStats)> {
                 self.inner.minimize(trace, message)
             }
+
+            fn minimize_unavailable(&self) -> Option<&'static str> {
+                self.inner.minimize_unavailable()
+            }
         }
     };
 }

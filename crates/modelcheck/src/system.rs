@@ -208,6 +208,15 @@ pub trait ModelSystem {
         let _ = (trace, message);
         None
     }
+
+    /// Why [`minimize`](Self::minimize) cannot run although minimization
+    /// was asked for (say, there is nothing to build the fresh instances it
+    /// replays on). Explorers record it on the [`Violation`] as
+    /// `shrink_skipped`, so a missing minimized trace is never silent. The
+    /// default has nothing to report.
+    fn minimize_unavailable(&self) -> Option<&'static str> {
+        None
+    }
 }
 
 /// A recorded property violation with its reproduction trace.
@@ -228,6 +237,9 @@ pub struct Violation<Op> {
     pub minimized_trace: Option<Vec<Op>>,
     /// Statistics of the minimization that produced `minimized_trace`.
     pub shrink: Option<crate::ShrinkStats>,
+    /// Why minimization was asked for but could not run
+    /// ([`ModelSystem::minimize_unavailable`]).
+    pub shrink_skipped: Option<String>,
 }
 
 impl<Op> Violation<Op> {
@@ -264,6 +276,9 @@ impl<Op: fmt::Debug> fmt::Display for Violation<Op> {
                 writeln!(f, "  {:>3}. {op:?}", i + 1)?;
             }
         }
+        if let Some(reason) = &self.shrink_skipped {
+            writeln!(f, "minimization skipped: {reason}")?;
+        }
         Ok(())
     }
 }
@@ -285,6 +300,7 @@ mod tests {
             ops_executed: 42,
             minimized_trace: None,
             shrink: None,
+            shrink_skipped: None,
         };
         let s = v.to_string();
         assert!(s.contains("42 ops"));
@@ -307,9 +323,23 @@ mod tests {
                 candidates_tried: 5,
                 replays_run: 4,
             }),
+            shrink_skipped: None,
         };
         let s = v.to_string();
         assert!(s.contains("minimized trace (2 ops, 5 candidates, 4 replays)"));
         assert_eq!(v.best_trace(), ["mkdir", "rmdir"]);
+    }
+
+    #[test]
+    fn violation_display_includes_skip_reason() {
+        let v = Violation {
+            trace: vec!["mkdir"],
+            message: "hash mismatch".into(),
+            ops_executed: 1,
+            minimized_trace: None,
+            shrink: None,
+            shrink_skipped: Some("no factory".into()),
+        };
+        assert!(v.to_string().contains("minimization skipped: no factory"));
     }
 }

@@ -346,6 +346,40 @@ fn dfs_reports_minimized_violations() {
     assert_one_minimal(factory.as_ref(), min, &v.message);
 }
 
+/// Without a factory nothing can be minimized; the violation says so
+/// instead of silently coming back with `minimized_trace: None`.
+#[test]
+fn violations_without_a_factory_record_why_they_were_not_minimized() {
+    let factory = buggy_verifs_factory(
+        BugConfig::v2_size(),
+        McfsConfig {
+            minimize_violations: true,
+            pool: PoolConfig {
+                files: vec!["/f0".into()],
+                dirs: Vec::new(),
+                sizes: vec![10],
+                offsets: vec![0, 10],
+                seeds: vec![1],
+                ..PoolConfig::small()
+            },
+            ..McfsConfig::default()
+        },
+    );
+    let mut m = (factory)().expect("harness builds"); // no factory attached
+    let report = modelcheck::DfsExplorer::new(ExploreConfig {
+        max_depth: 4,
+        max_ops: 2_000_000,
+        ..ExploreConfig::default()
+    })
+    .run(&mut m);
+    assert_eq!(report.stop, StopReason::Violation, "DFS must hit the bug");
+    let v = &report.violations[0];
+    assert!(v.minimized_trace.is_none());
+    let reason = v.shrink_skipped.as_deref().expect("a recorded skip reason");
+    assert!(reason.contains("factory"), "{reason}");
+    assert!(v.to_string().contains("minimization skipped"), "{v}");
+}
+
 /// State-matched DFS finds the hole bug (bug 3). Historically it could
 /// not: the trigger is stale bytes *beyond* EOF — concrete state outside
 /// the POSIX abstraction — so the visited set matched the post-truncate
