@@ -1,14 +1,27 @@
 //! Copy-on-write device images.
 //!
-//! A [`CowImage`] stores a device's bytes as fixed-size chunks behind
-//! [`Arc`]s. Cloning an image is O(#chunks) reference bumps; writing to a
-//! clone copies only the touched chunks (`Arc::make_mut`). Snapshots taken by
-//! the devices in this crate are therefore cheap to capture and to hold: the
-//! live device and every saved snapshot share the chunks neither side has
-//! modified since the snapshot, which is what lets a deep DFS backtrack spine
-//! fit in memory (the checker saves one snapshot per exploration level).
+//! A [`CowImage`] stores a device's bytes as fixed-size chunks in a
+//! two-level table of [`Arc`]s: a root of leaves, each leaf holding the
+//! pointers of up to 64 consecutive chunks. Cloning an image shares the root,
+//! so it costs one reference bump whatever the device size. A write unshares
+//! only what it touches — the root, the one leaf, the chunk — and each only
+//! while another image still holds it (`Arc::make_mut`). Snapshots taken by
+//! the devices in this crate are therefore O(1) to capture and to restore,
+//! and cheap to hold and to drop: the live device and every saved snapshot
+//! share the chunks neither side has modified since the snapshot, which is
+//! what lets a deep DFS backtrack spine fit in memory (the checker saves one
+//! snapshot per exploration level).
 
 use std::sync::Arc;
+
+/// Chunks per leaf of the table. The first write to a freshly cloned image
+/// copies the root (one pointer per leaf) and one leaf (this many pointers)
+/// besides the chunk: for a 16 MiB device in 4 KiB chunks, 64 + 64
+/// pointers, where a flat table copied all 4,096 on the clone itself.
+const LEAF_CHUNKS: usize = 64;
+
+type Chunk = Arc<Vec<u8>>;
+type Leaf = Arc<Vec<Chunk>>;
 
 /// A chunked, structurally shared byte image.
 ///
@@ -22,7 +35,7 @@ use std::sync::Arc;
 ///
 /// let mut live = CowImage::new(8192, 4096, 0);
 /// live.write(10, b"hello");
-/// let snap = live.clone(); // O(#chunks) — shares both chunks
+/// let snap = live.clone(); // O(1) — shares the whole chunk table
 /// live.write(10, b"WORLD"); // copies only the first chunk
 /// let mut buf = [0u8; 5];
 /// snap.read(10, &mut buf);
@@ -33,7 +46,7 @@ use std::sync::Arc;
 pub struct CowImage {
     chunk_size: usize,
     len: usize,
-    chunks: Vec<Arc<Vec<u8>>>,
+    root: Arc<Vec<Leaf>>,
 }
 
 impl CowImage {
@@ -46,17 +59,23 @@ impl CowImage {
     /// device geometry, which is validated first).
     pub fn new(len: usize, chunk_size: usize, fill: u8) -> Self {
         assert!(chunk_size > 0, "chunk size must be nonzero");
-        let mut chunks = Vec::with_capacity(len.div_ceil(chunk_size));
-        let mut remaining = len;
-        while remaining > 0 {
-            let n = remaining.min(chunk_size);
-            chunks.push(Arc::new(vec![fill; n]));
-            remaining -= n;
-        }
+        let chunks = (0..len.div_ceil(chunk_size))
+            .map(|i| Arc::new(vec![fill; chunk_size.min(len - i * chunk_size)]));
+        Self::assemble(chunk_size, len, chunks)
+    }
+
+    /// Builds the table over `chunks`, which must tile `len` bytes.
+    fn assemble(chunk_size: usize, len: usize, chunks: impl IntoIterator<Item = Chunk>) -> Self {
+        let mut chunks = chunks.into_iter();
+        let root = std::iter::from_fn(|| {
+            let leaf: Vec<Chunk> = chunks.by_ref().take(LEAF_CHUNKS).collect();
+            (!leaf.is_empty()).then(|| Arc::new(leaf))
+        })
+        .collect();
         CowImage {
             chunk_size,
             len,
-            chunks,
+            root: Arc::new(root),
         }
     }
 
@@ -73,6 +92,14 @@ impl CowImage {
     /// The chunk granularity of copy-on-write sharing.
     pub fn chunk_size(&self) -> usize {
         self.chunk_size
+    }
+
+    fn num_chunks(&self) -> usize {
+        self.len.div_ceil(self.chunk_size)
+    }
+
+    fn chunk_arc(&self, index: usize) -> &Chunk {
+        &self.root[index / LEAF_CHUNKS][index % LEAF_CHUNKS]
     }
 
     /// Reads `buf.len()` bytes starting at `offset`.
@@ -103,7 +130,7 @@ impl CowImage {
                 return None;
             }
             let (ci, co) = (offset / self.chunk_size, offset % self.chunk_size);
-            let chunk = &self.chunks[ci];
+            let chunk = self.chunk_arc(ci);
             let n = (chunk.len() - co).min(end - offset);
             offset += n;
             Some(&chunk[co..co + n])
@@ -116,22 +143,27 @@ impl CowImage {
     ///
     /// Panics if `index` is not a chunk of this image.
     pub fn chunk(&self, index: usize) -> &[u8] {
-        &self.chunks[index]
+        self.chunk_arc(index)
     }
 
     /// Whether chunk `index` holds the same bytes here and in `other`: a
-    /// pointer compare while the two images still share the chunk, a byte
-    /// compare otherwise — the rule [`PartialEq`] applies to whole images.
-    /// Images chunked differently, or too short to have chunk `index`, never
-    /// compare equal here.
+    /// pointer compare while the two images still share the table, the leaf
+    /// or the chunk, a byte compare otherwise — the rule [`PartialEq`]
+    /// applies to whole images. Images chunked differently, or too short to
+    /// have chunk `index`, never compare equal here.
     pub fn chunk_eq(&self, index: usize, other: &CowImage) -> bool {
-        if self.chunk_size != other.chunk_size {
+        if self.chunk_size != other.chunk_size
+            || index >= self.num_chunks()
+            || index >= other.num_chunks()
+        {
             return false;
         }
-        match (self.chunks.get(index), other.chunks.get(index)) {
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b) || a == b,
-            _ => false,
+        if Arc::ptr_eq(&self.root, &other.root) {
+            return true;
         }
+        let (li, ci) = (index / LEAF_CHUNKS, index % LEAF_CHUNKS);
+        let (a, b) = (&self.root[li], &other.root[li]);
+        Arc::ptr_eq(a, b) || same_chunk(&a[ci], &b[ci])
     }
 
     /// Writes `data` at `offset`, copying only the touched chunks if they
@@ -140,17 +172,11 @@ impl CowImage {
     /// # Panics
     ///
     /// Panics if the range extends past the image.
-    pub fn write(&mut self, mut offset: usize, data: &[u8]) {
+    pub fn write(&mut self, offset: usize, data: &[u8]) {
         assert!(offset + data.len() <= self.len, "cow write out of range");
-        let mut done = 0;
-        while done < data.len() {
-            let (ci, co) = (offset / self.chunk_size, offset % self.chunk_size);
-            let chunk = Arc::make_mut(&mut self.chunks[ci]);
-            let n = (chunk.len() - co).min(data.len() - done);
-            chunk[co..co + n].copy_from_slice(&data[done..done + n]);
-            done += n;
-            offset += n;
-        }
+        self.modify(offset, data.len(), |done, dst| {
+            dst.copy_from_slice(&data[done..done + dst.len()]);
+        });
     }
 
     /// Fills `[offset, offset + len)` with `byte` (erase support).
@@ -158,24 +184,37 @@ impl CowImage {
     /// # Panics
     ///
     /// Panics if the range extends past the image.
-    pub fn fill_range(&mut self, mut offset: usize, len: usize, byte: u8) {
+    pub fn fill_range(&mut self, offset: usize, len: usize, byte: u8) {
         assert!(offset + len <= self.len, "cow fill out of range");
+        self.modify(offset, len, |_, dst| dst.fill(byte));
+    }
+
+    /// Hands `f` each chunk's slice of `[offset, offset + len)`, in order,
+    /// with the number of bytes before it. The root, the leaves and the
+    /// chunks on the way are copied only if another image still holds them:
+    /// `Arc::make_mut` tests uniqueness first (what `Arc::get_mut` does) and
+    /// writes in place when it holds, so `format` writing every block of an
+    /// unshared image pays one atomic compare per level, not a copy.
+    fn modify(&mut self, mut offset: usize, len: usize, mut f: impl FnMut(usize, &mut [u8])) {
+        if len == 0 {
+            return;
+        }
+        let root = Arc::make_mut(&mut self.root);
         let mut done = 0;
         while done < len {
             let (ci, co) = (offset / self.chunk_size, offset % self.chunk_size);
-            let chunk = Arc::make_mut(&mut self.chunks[ci]);
+            let leaf = Arc::make_mut(&mut root[ci / LEAF_CHUNKS]);
+            let chunk = Arc::make_mut(&mut leaf[ci % LEAF_CHUNKS]);
             let n = (chunk.len() - co).min(len - done);
-            for b in &mut chunk[co..co + n] {
-                *b = byte;
-            }
+            f(done, &mut chunk[co..co + n]);
             done += n;
             offset += n;
         }
     }
 
-    /// Adopts `other`'s content. Same chunk size: O(#chunks) reference bumps
-    /// (the restore path — the live image re-shares the snapshot's chunks).
-    /// Different chunk size: a byte copy preserving this image's chunking.
+    /// Adopts `other`'s content. Same chunk size: O(1), the restore path —
+    /// the live image shares the snapshot's whole table. Different chunk
+    /// size: a byte copy preserving this image's chunking.
     ///
     /// # Panics
     ///
@@ -183,7 +222,7 @@ impl CowImage {
     pub fn copy_from(&mut self, other: &CowImage) {
         assert_eq!(self.len, other.len, "cow image length mismatch");
         if self.chunk_size == other.chunk_size {
-            self.chunks = other.chunks.clone();
+            self.root = Arc::clone(&other.root);
         } else {
             self.write(0, &other.to_vec());
         }
@@ -191,7 +230,9 @@ impl CowImage {
 
     /// Iterates the image's chunks as byte slices, in order.
     pub fn chunks(&self) -> impl Iterator<Item = &[u8]> {
-        self.chunks.iter().map(|c| c.as_slice())
+        self.root
+            .iter()
+            .flat_map(|leaf| leaf.iter().map(|c| c.as_slice()))
     }
 
     /// Reassembles an image from chunks previously produced by
@@ -214,32 +255,62 @@ impl CowImage {
                 return None;
             }
         }
-        Some(CowImage {
+        Some(Self::assemble(
             chunk_size,
             len,
-            chunks: chunks.into_iter().map(Arc::new).collect(),
-        })
+            chunks.into_iter().map(Arc::new),
+        ))
     }
 
     /// Materializes the full image as one contiguous vector.
     pub fn to_vec(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.len);
-        for c in &self.chunks {
+        for c in self.chunks() {
             out.extend_from_slice(c);
         }
         out
     }
 
-    /// Bytes of this image whose chunks are shared with at least one other
-    /// image (snapshot or live device). `len() - shared_bytes()` is the
+    /// Bytes of this image reachable from at least one other image
+    /// (snapshot or live device): a chunk counts when the root, its leaf or
+    /// the chunk itself has another owner. `len() - shared_bytes()` is the
     /// memory uniquely attributable to this image.
     pub fn shared_bytes(&self) -> usize {
-        self.chunks
+        if Arc::strong_count(&self.root) > 1 {
+            return self.len;
+        }
+        self.root
             .iter()
-            .filter(|c| Arc::strong_count(c) > 1)
+            .flat_map(|leaf| {
+                let leaf_shared = Arc::strong_count(leaf) > 1;
+                leaf.iter()
+                    .filter(move |c| leaf_shared || Arc::strong_count(c) > 1)
+            })
             .map(|c| c.len())
             .sum()
     }
+
+    /// How much of its table this image shares with `other` by pointer:
+    /// whether the root is shared, and how many leaves and chunks sit at
+    /// the same index in both (through a shared root or leaf, or directly).
+    #[cfg(test)]
+    pub(crate) fn sharing_with(&self, other: &CowImage) -> (bool, usize, usize) {
+        let leaves = self
+            .root
+            .iter()
+            .zip(other.root.iter())
+            .filter(|(a, b)| Arc::ptr_eq(a, b))
+            .count();
+        let chunks = (0..self.num_chunks().min(other.num_chunks()))
+            .filter(|&i| Arc::ptr_eq(self.chunk_arc(i), other.chunk_arc(i)))
+            .count();
+        (Arc::ptr_eq(&self.root, &other.root), leaves, chunks)
+    }
+}
+
+/// Whether two chunks hold the same bytes: a pointer compare first.
+fn same_chunk(a: &Chunk, b: &Chunk) -> bool {
+    Arc::ptr_eq(a, b) || a == b
 }
 
 impl PartialEq for CowImage {
@@ -247,10 +318,13 @@ impl PartialEq for CowImage {
         if self.len != other.len {
             return false;
         }
-        if self.chunk_size == other.chunk_size {
-            return (0..self.chunks.len()).all(|i| self.chunk_eq(i, other));
+        if self.chunk_size != other.chunk_size {
+            return self.to_vec() == other.to_vec();
         }
-        self.to_vec() == other.to_vec()
+        Arc::ptr_eq(&self.root, &other.root)
+            || self.root.iter().zip(other.root.iter()).all(|(a, b)| {
+                Arc::ptr_eq(a, b) || a.iter().zip(b.iter()).all(|(x, y)| same_chunk(x, y))
+            })
     }
 }
 
@@ -259,6 +333,7 @@ impl Eq for CowImage {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn construction_and_tail_chunk() {
@@ -342,6 +417,7 @@ mod tests {
         a.write(0, &[0]); // unshared again, but the same bytes
         assert!(a.chunk_eq(0, &shared));
         assert!(!a.chunk_eq(2, &shared), "no such chunk");
+        assert!(!CowImage::new(16, 4, 0).chunk_eq(3, &a), "other is shorter");
         assert!(!a.chunk_eq(0, &CowImage::new(8, 2, 0)), "other chunking");
     }
 
@@ -354,5 +430,156 @@ mod tests {
         assert_ne!(a, b);
         b.write(1, &[5]);
         assert_eq!(a, b);
+    }
+
+    /// Model-test geometries `(chunk size, length)`: 1, 63, 64, 65 and
+    /// 4,096 chunks (one leaf, a leaf short by one, exactly one leaf, one
+    /// chunk into a second leaf, 64 full leaves), and short tail chunks.
+    const GEOMETRIES: [(usize, usize); 7] = [
+        (8, 8),
+        (8, 63 * 8),
+        (8, 64 * 8),
+        (8, 65 * 8),
+        (4, 4096 * 4),
+        (8, 64 * 8 + 3),
+        (8, 5),
+    ];
+
+    /// Most images alive at once in the model test.
+    const MAX_LIVE: usize = 5;
+
+    /// Bytes `n` long, drawn from `seed`.
+    fn bytes(seed: u64, n: usize) -> Vec<u8> {
+        let mut x = seed | 1;
+        (0..n)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (x >> 56) as u8
+            })
+            .collect()
+    }
+
+    /// `[offset, offset + n)` inside an image of `len` bytes, drawn from
+    /// `seed`; `n` spans up to three chunks of `chunk_size`.
+    fn range(seed: u64, len: usize, chunk_size: usize) -> (usize, usize) {
+        let offset = seed as usize % len;
+        let n = (seed >> 24) as usize % (3 * chunk_size + 1);
+        (offset, n.min(len - offset))
+    }
+
+    /// The brute-force sharing oracle: chunk `k` of image `i` is shared iff
+    /// another live image holds a pointer-equal chunk at index `k`.
+    fn shared_oracle(imgs: &[CowImage], i: usize) -> usize {
+        let img = &imgs[i];
+        (0..img.num_chunks())
+            .filter(|&k| {
+                imgs.iter().enumerate().any(|(j, o)| {
+                    j != i
+                        && o.chunk_size == img.chunk_size
+                        && k < o.num_chunks()
+                        && Arc::ptr_eq(img.chunk_arc(k), o.chunk_arc(k))
+                })
+            })
+            .map(|k| img.chunk(k).len())
+            .sum()
+    }
+
+    /// Every read-side view of every image against the flat models.
+    fn check(imgs: &[CowImage], models: &[Vec<u8>], seed: u64) {
+        for (i, (img, model)) in imgs.iter().zip(models).enumerate() {
+            let cs = img.chunk_size();
+            assert_eq!(img.len(), model.len());
+            assert_eq!(&img.to_vec(), model);
+            let want: Vec<&[u8]> = model.chunks(cs).collect();
+            assert_eq!(img.chunks().collect::<Vec<_>>(), want);
+            for (k, c) in want.iter().enumerate() {
+                assert_eq!(img.chunk(k), *c);
+            }
+            let (offset, n) = range(seed.rotate_left(i as u32), img.len(), cs);
+            let mut buf = vec![0u8; n];
+            img.read(offset, &mut buf);
+            assert_eq!(buf, model[offset..offset + n]);
+            let segs: Vec<&[u8]> = img.segments(offset, n).collect();
+            assert_eq!(segs.concat(), buf);
+            let touched = if n == 0 {
+                0
+            } else {
+                (offset + n - 1) / cs - offset / cs + 1
+            };
+            assert_eq!(segs.len(), touched);
+            assert_eq!(img.shared_bytes(), shared_oracle(imgs, i), "image {i}");
+            for (other, other_model) in imgs.iter().zip(models) {
+                assert_eq!(img == other, model == other_model);
+                let other_chunks: Vec<&[u8]> = other_model.chunks(other.chunk_size()).collect();
+                for k in 0..=want.len() {
+                    let same = other.chunk_size() == cs
+                        && k < want.len()
+                        && other_chunks.get(k) == Some(&want[k]);
+                    assert_eq!(img.chunk_eq(k, other), same, "chunk {k}");
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random clone/write/fill/copy/drop/rebuild sequences over several
+        /// live images behave like flat byte vectors, and `shared_bytes`
+        /// matches the brute-force oracle after every step.
+        #[test]
+        fn cow_image_matches_flat_models(
+            geometry in 0..GEOMETRIES.len(),
+            steps in prop::collection::vec((0u8..7, any::<usize>(), any::<usize>(), any::<u64>()), 1..40),
+        ) {
+            let (cs, len) = GEOMETRIES[geometry];
+            let mut imgs = vec![CowImage::new(len, cs, 0)];
+            let mut models = vec![vec![0u8; len]];
+            for (kind, a, b, x) in steps {
+                let (a, b) = (a % imgs.len(), b % imgs.len());
+                let room = imgs.len() < MAX_LIVE;
+                match kind {
+                    0 if room => {
+                        imgs.push(imgs[a].clone());
+                        models.push(models[a].clone());
+                    }
+                    1 => {
+                        let (offset, n) = range(x, len, imgs[a].chunk_size());
+                        let data = bytes(x, n);
+                        imgs[a].write(offset, &data);
+                        models[a][offset..offset + n].copy_from_slice(&data);
+                    }
+                    2 => {
+                        let (offset, n) = range(x, len, imgs[a].chunk_size());
+                        imgs[a].fill_range(offset, n, x as u8);
+                        models[a][offset..offset + n].fill(x as u8);
+                    }
+                    3 => {
+                        let src = imgs[b].clone();
+                        imgs[a].copy_from(&src);
+                        models[a] = models[b].clone();
+                    }
+                    4 if imgs.len() > 1 => {
+                        imgs.swap_remove(a);
+                        models.swap_remove(a);
+                    }
+                    5 if room => {
+                        let chunks = imgs[a].chunks().map(<[u8]>::to_vec).collect();
+                        imgs.push(CowImage::from_chunks(imgs[a].chunk_size(), chunks).unwrap());
+                        models.push(models[a].clone());
+                    }
+                    6 if room => {
+                        // A differently chunked peer: copies between it and
+                        // the others take the byte-copy path.
+                        imgs.push(CowImage::new(len, cs + 3, x as u8));
+                        models.push(vec![x as u8; len]);
+                    }
+                    _ => {}
+                }
+                check(&imgs, &models, x);
+            }
+        }
     }
 }

@@ -68,11 +68,12 @@ pub type DeviceResult<T> = Result<T, DeviceError>;
 /// A whole-device snapshot: the persistent state SPIN tracks by mmapping the
 /// backing store of each file system (paper §4).
 ///
-/// A snapshot is a [`CowImage`] plus geometry: capturing one is O(#chunks)
-/// reference bumps, and it shares every chunk the live device has not
-/// rewritten since. [`size_bytes`](DeviceSnapshot::size_bytes) still reports
-/// the full *logical* device size — that is what the model checker's memory
-/// model charges (SPIN really holds a full copy per tracked state); the
+/// A snapshot is a [`CowImage`] plus geometry: capturing or restoring one is
+/// O(1) — one reference on the image's shared chunk table — and it shares
+/// every chunk the live device has not rewritten since.
+/// [`size_bytes`](DeviceSnapshot::size_bytes) still reports the full
+/// *logical* device size — that is what the model checker's memory model
+/// charges (SPIN really holds a full copy per tracked state); the
 /// structural-sharing saving is a host-memory win reported separately via
 /// [`shared_bytes`](DeviceSnapshot::shared_bytes).
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -337,8 +337,10 @@ impl MtdDevice {
     }
 
     /// Captures the full flash image (including wear counters). The image is
-    /// copy-on-write: the snapshot shares every erase block with the live
-    /// device until one side rewrites it.
+    /// copy-on-write: capturing it shares the live device's whole chunk
+    /// table, O(1) in the flash size (only the per-erase-block wear counters
+    /// are copied), and the snapshot keeps sharing every erase block until
+    /// one side rewrites it.
     pub fn snapshot(&self) -> MtdSnapshot {
         MtdSnapshot {
             data: self.data.clone(),
@@ -346,7 +348,8 @@ impl MtdDevice {
         }
     }
 
-    /// Restores a previously captured flash image.
+    /// Restores a previously captured flash image: the live device adopts
+    /// the snapshot's chunk table, again O(1) apart from the wear counters.
     ///
     /// # Errors
     ///

@@ -154,8 +154,9 @@ struct Mounted {
 
 /// The last memoized full-flash scan, kept so that scanning the same bytes
 /// again skips the decode. The key is the flash *content*: `image` is
-/// compared with the live flash one erase block at a time
-/// ([`CowImage::chunk_eq`]), never by address or write counter.
+/// compared with the live flash by value — a pointer compare while the two
+/// still share the chunk table, else one erase block at a time
+/// ([`CowImage::chunk_eq`]) — never by address or write counter.
 #[derive(Debug, Clone)]
 struct ScanMemo {
     /// The flash as scanned: a copy-on-write clone, sharing every erase
@@ -806,7 +807,7 @@ impl Jffs2Fs {
         let mut trusted = vec![false; num];
         if let Some(memo) = self.memo.take() {
             let live = self.dev.mtd().image();
-            if (0..num).all(|b| memo.image.chunk_eq(b, live)) {
+            if memo.image == *live {
                 for _ in 0..num {
                     self.charge_read(self.ebs() as u64);
                 }
