@@ -771,8 +771,8 @@ pub fn independent_concurrent(a: &FsOp, b: &FsOp, prof: &EffectProfile) -> bool 
 }
 
 /// The original hand-written heuristic (formerly inlined in the harness),
-/// kept verbatim for comparison, for the `legacy_por_heuristic` escape
-/// hatch, and as the baseline the `analyze` sanitizer tests against.
+/// kept verbatim as the baseline the `analyze` sanitizer (MC001) and the
+/// effect-soundness tests check the derived relation against.
 pub fn heuristic_independent(a: &FsOp, b: &FsOp) -> bool {
     // A crash commutes with nothing: it has an empty path footprint but
     // rolls unsynced state back, so reordering it against any mutation

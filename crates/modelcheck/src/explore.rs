@@ -1,9 +1,15 @@
-//! Explorers: bounded DFS (SPIN's default search), BFS, and random walk.
+//! Explorers: bounded DFS (SPIN's default search) and BFS, both run by one
+//! frame-deque engine that also drives the work-stealing fleet's workers,
+//! and the random walk.
+
+use std::collections::VecDeque;
 
 use blockdev::Clock;
 
 use crate::memmodel::{MemConfig, MemoryModel, OutOfMemory};
+use crate::pickle::FrontierEntry;
 use crate::spill::{MemBudget, SpillStats};
+use crate::swarm::{Fleet, Work, WorkerStrategy};
 use crate::system::{
     is_evicted_error, ApplyOutcome, CheckpointStoreStats, CrashStats, ModelSystem, StateId,
     Violation,
@@ -192,20 +198,22 @@ impl ExploreStats {
         self.hit_rate = self.hit_rate.max(other.hit_rate);
         self.virtual_ns += other.virtual_ns;
         self.visited_peak_bytes = self.visited_peak_bytes.max(other.visited_peak_bytes);
-        match (&mut self.spill, &other.spill) {
-            (Some(a), Some(b)) => a.merge(b),
-            (None, Some(b)) => self.spill = Some(*b),
-            _ => {}
-        }
-        match (&mut self.checkpoint_store, &other.checkpoint_store) {
-            (Some(a), Some(b)) => a.merge(b),
-            (None, Some(b)) => self.checkpoint_store = Some(*b),
-            _ => {}
-        }
-        match (&mut self.crash, &other.crash) {
-            (Some(a), Some(b)) => a.merge(b),
-            (None, Some(b)) => self.crash = Some(*b),
-            _ => {}
+        merge_opt(&mut self.spill, other.spill, SpillStats::merge);
+        merge_opt(
+            &mut self.checkpoint_store,
+            other.checkpoint_store,
+            CheckpointStoreStats::merge,
+        );
+        merge_opt(&mut self.crash, other.crash, CrashStats::merge);
+    }
+}
+
+/// Merges optional per-subsystem stats field-wise.
+fn merge_opt<T: Copy>(into: &mut Option<T>, other: Option<T>, merge: fn(&mut T, &T)) {
+    if let Some(b) = other {
+        match into {
+            Some(a) => merge(a, &b),
+            None => *into = Some(b),
         }
     }
 }
@@ -231,9 +239,15 @@ fn restore_failure(e: String) -> StopReason {
     }
 }
 
+/// The stop reason for a failed spill store (`what`: "visited" or
+/// "frontier").
+fn spill_failure(what: &str, e: String) -> StopReason {
+    StopReason::Fatal(format!("{what} spill failed: {e}"))
+}
+
 /// The report for a run that could not start because the spill store failed
 /// to initialize (bad spill dir, exhausted fds, ...).
-fn spill_init_failure<Op>(e: String) -> ExploreReport<Op> {
+pub(crate) fn spill_init_failure<Op>(e: &str) -> ExploreReport<Op> {
     ExploreReport {
         stats: ExploreStats::default(),
         violations: Vec::new(),
@@ -241,543 +255,581 @@ fn spill_init_failure<Op>(e: String) -> ExploreReport<Op> {
     }
 }
 
-/// Builds the [`Violation`] record for a just-detected violation, asking the
-/// system to minimize the counterexample ([`ModelSystem::minimize`] — a
-/// no-op unless the system enables it), or to say why it cannot
-/// ([`ModelSystem::minimize_unavailable`]).
-pub(crate) fn record_violation<S: ModelSystem>(
-    sys: &mut S,
-    trace: Vec<S::Op>,
-    message: String,
-    ops_executed: u64,
-) -> Violation<S::Op> {
-    let (minimized_trace, shrink) = match sys.minimize(&trace, &message) {
-        Some((t, s)) => (Some(t), Some(s)),
-        None => (None, None),
-    };
-    let shrink_skipped = match minimized_trace {
-        Some(_) => None,
-        None => sys.minimize_unavailable().map(String::from),
-    };
-    Violation {
-        trace,
-        message,
-        ops_executed,
-        minimized_trace,
-        shrink,
-        shrink_skipped,
-    }
-}
-
-/// Restricts an enabled-op list to the system's persistent set
-/// ([`ModelSystem::persistent_set`]), counting masked-out ops as pruned.
-/// No-op unless `cfg.por_persistent` is set and the mask is well-formed.
-pub(crate) fn persistent_filter<S: ModelSystem>(
+/// Runs `search` over a fresh visited set: disk-spilling under
+/// [`ExploreConfig::mem_budget`], fully in RAM otherwise.
+pub(crate) fn with_default_visited<Op>(
     cfg: &ExploreConfig,
-    sys: &mut S,
-    ops: Vec<S::Op>,
-    pruned: &mut u64,
-) -> Vec<S::Op> {
-    if !cfg.por_persistent {
-        return ops;
-    }
-    match sys.persistent_set(&ops) {
-        Some(mask) if mask.len() == ops.len() => {
-            let mut kept = Vec::with_capacity(ops.len());
-            for (op, keep) in ops.into_iter().zip(mask) {
-                if keep {
-                    kept.push(op);
-                } else {
-                    *pruned += 1;
-                }
-            }
-            kept
-        }
-        _ => ops,
+    search: impl FnOnce(&mut dyn VisitedHandle) -> ExploreReport<Op>,
+) -> ExploreReport<Op> {
+    match &cfg.mem_budget {
+        Some(budget) => match ShardedVisited::with_spill(cfg.visited_capacity, budget) {
+            Ok(mut visited) => search(&mut visited),
+            Err(e) => spill_init_failure(&e),
+        },
+        None => search(&mut VisitedSet::new(cfg.visited_capacity)),
     }
 }
 
+/// The initial state's checkpoint. Every search starts from it, and fleet
+/// workers replay the op-prefixes they take over from it.
+const ROOT: StateId = StateId(0);
+
+/// A checkpointed state the search is expanding one op at a time.
 struct Frame<Op> {
+    /// The state's checkpoint, pinned until the frame retires.
     state: StateId,
+    /// The ops that reach the state from the root: the trace prefix of
+    /// every violation found below it.
+    prefix: Vec<Op>,
+    /// The enabled ops (after the persistent-set filter), taken in order.
     ops: Vec<Op>,
+    /// Index into `ops` of the next op to take.
     next: usize,
+    /// Ops whose subtrees are covered elsewhere: the sleep set, plus the
+    /// ops a publishing worker had already taken.
     sleep: Vec<Op>,
-    op_from_parent: Option<Op>,
 }
 
-/// Depth-first explorer with abstract-state matching — SPIN's search
-/// strategy, as MCFS uses it.
-#[derive(Debug)]
-pub struct DfsExplorer {
-    cfg: ExploreConfig,
-    clock: Option<Clock>,
-}
-
-impl DfsExplorer {
-    /// Creates an explorer with the given bounds.
-    pub fn new(cfg: ExploreConfig) -> Self {
-        DfsExplorer { cfg, clock: None }
+impl<Op: Clone + PartialEq> Frame<Op> {
+    fn unfinished(&self) -> bool {
+        self.next < self.ops.len()
     }
 
-    /// Attaches a virtual clock: memory-model costs are charged to it, and
-    /// `max_virtual_ns` becomes enforceable.
-    pub fn with_clock(mut self, clock: Clock) -> Self {
-        self.clock = Some(clock);
-        self
+    /// The untaken rest of the frame as a replayable entry: the ops taken so
+    /// far join the sleep set, so whoever expands it skips them.
+    fn into_entry(self) -> FrontierEntry<Op> {
+        let mut sleep = self.sleep;
+        for op in &self.ops[..self.next] {
+            if !sleep.contains(op) {
+                sleep.push(op.clone());
+            }
+        }
+        FrontierEntry {
+            prefix: self.prefix,
+            sleep,
+        }
+    }
+}
+
+/// The exploration engine: one loop over a deque of frames that applies a
+/// frame's next op, fingerprints the result, probes the visited set, and
+/// checkpoints each state worth expanding as a child frame. DFS, BFS, and
+/// the work-stealing fleet's workers differ only in the end of the deque
+/// they continue — the newest frame for [`WorkerStrategy::Dfs`], the oldest
+/// for [`WorkerStrategy::Bfs`] — and in the optional [`Fleet`] handle. The
+/// random walk shares its bookkeeping: counters, violations, the memory
+/// model, and the virtual clock.
+struct Engine<'a, S: ModelSystem, V: ?Sized> {
+    cfg: &'a ExploreConfig,
+    clock: Option<&'a Clock>,
+    start_ns: u64,
+    sys: &'a mut S,
+    visited: &'a mut V,
+    mem: MemoryModel,
+    stats: ExploreStats,
+    violations: Vec<Violation<S::Op>>,
+    order: WorkerStrategy,
+    frames: VecDeque<Frame<S::Op>>,
+    /// The checkpoint the live state equals, if any. SPIN only restores on
+    /// backtrack: while the search advances deeper, the live state IS the
+    /// newest frame's state.
+    current: Option<StateId>,
+    next_id: u64,
+    /// Fleet workers keep the root checkpoint for their whole life: it is
+    /// the replay base of every entry they take over.
+    keep_root: bool,
+}
+
+impl<'a, S: ModelSystem, V: VisitedHandle + ?Sized> Engine<'a, S, V> {
+    fn new(
+        cfg: &'a ExploreConfig,
+        clock: Option<&'a Clock>,
+        order: WorkerStrategy,
+        sys: &'a mut S,
+        visited: &'a mut V,
+    ) -> Self {
+        Engine {
+            cfg,
+            clock,
+            start_ns: clock.map_or(0, Clock::now_ns),
+            sys,
+            visited,
+            mem: MemoryModel::new(cfg.mem),
+            stats: ExploreStats::default(),
+            violations: Vec::new(),
+            order,
+            frames: VecDeque::new(),
+            current: None,
+            next_id: ROOT.0,
+            keep_root: false,
+        }
     }
 
     fn charge(&self, ns: u64) {
-        if let Some(c) = &self.clock {
+        if let Some(c) = self.clock {
             c.advance_ns(ns);
         }
     }
 
-    /// Runs the exploration to completion or budget. With
-    /// [`ExploreConfig::mem_budget`] set, the visited set is disk-spilling.
-    pub fn run<S: ModelSystem>(&self, sys: &mut S) -> ExploreReport<S::Op> {
-        match &self.cfg.mem_budget {
-            Some(budget) => match ShardedVisited::with_spill(self.cfg.visited_capacity, budget) {
-                Ok(mut visited) => self.run_with_visited(sys, &mut visited),
-                Err(e) => spill_init_failure(e),
-            },
-            None => {
-                let mut visited = VisitedSet::new(self.cfg.visited_capacity);
-                self.run_with_visited(sys, &mut visited)
+    fn elapsed_ns(&self) -> u64 {
+        self.clock.map_or(0, |c| c.now_ns() - self.start_ns)
+    }
+
+    /// The budget that `ops` executed operations, `states` discovered
+    /// states (this run's counts, or a fleet's totals) or the clock have
+    /// exhausted, if any.
+    fn budget_stop(&self, ops: u64, states: u64) -> Option<StopReason> {
+        if ops >= self.cfg.max_ops {
+            Some(StopReason::OpBudget)
+        } else if states >= self.cfg.max_states {
+            Some(StopReason::StateBudget)
+        } else {
+            let limit = self.cfg.max_virtual_ns.filter(|_| self.clock.is_some())?;
+            (self.elapsed_ns() >= limit).then_some(StopReason::TimeBudget)
+        }
+    }
+
+    /// Checkpoints the live state under a fresh id and charges its storage
+    /// to the memory model.
+    fn checkpoint(&mut self) -> Result<StateId, StopReason> {
+        let id = StateId(self.next_id);
+        self.next_id += 1;
+        let bytes = self.sys.checkpoint(id).map_err(StopReason::Fatal)?;
+        let cost = self.mem.store(id, bytes as u64);
+        self.charge(cost.map_err(StopReason::OutOfMemory)?);
+        self.stats.checkpoints += 1;
+        Ok(id)
+    }
+
+    /// Restores checkpoint `id`, charging the stored-state access.
+    fn enter(&mut self, id: StateId) -> Result<(), String> {
+        let cost = self.mem.access(id);
+        self.charge(cost);
+        self.sys.restore(id)?;
+        self.stats.restores += 1;
+        Ok(())
+    }
+
+    /// Records fingerprint `h` reached at `depth`, charging table resizes
+    /// and spill traffic.
+    fn visit(&mut self, h: u128, depth: u32) -> Result<Visit, StopReason> {
+        let (visit, resize) = self.visited.insert_at(h, depth);
+        if let Some(r) = resize {
+            self.stats.resize_events += 1;
+            self.charge(r.cost_ns);
+            let transient = self
+                .mem
+                .set_overhead(self.visited.bytes() + r.transient_bytes);
+            self.charge(transient);
+            let settled = self.mem.set_overhead(self.visited.bytes());
+            self.charge(settled);
+        }
+        self.drain()?;
+        Ok(visit)
+    }
+
+    /// Charges the visited set's pending page traffic; a failed spill store
+    /// stops the run.
+    fn drain(&mut self) -> Result<(), StopReason> {
+        let pending = self.visited.take_pending_ns();
+        self.charge(pending);
+        self.visited
+            .error()
+            .map_or(Ok(()), |e| Err(spill_failure("visited", e)))
+    }
+
+    /// Records a violation, asking the system to minimize the
+    /// counterexample ([`ModelSystem::minimize`] — a no-op unless the system
+    /// enables it), or to say why it cannot
+    /// ([`ModelSystem::minimize_unavailable`]).
+    fn violation(&mut self, trace: Vec<S::Op>, message: String) {
+        let (minimized_trace, shrink) = self.sys.minimize(&trace, &message).unzip();
+        let shrink_skipped = match minimized_trace {
+            Some(_) => None,
+            None => self.sys.minimize_unavailable().map(String::from),
+        };
+        self.violations.push(Violation {
+            trace,
+            message,
+            ops_executed: self.stats.ops_executed,
+            minimized_trace,
+            shrink,
+            shrink_skipped,
+        });
+    }
+
+    /// Fingerprints the initial state and checkpoints it as [`ROOT`]. In a
+    /// fleet every worker does this, but only the fleet-wide first insert
+    /// counts the root as discovered (resumed runs re-match it).
+    fn start(&mut self) -> Result<(), StopReason> {
+        if self.visited.insert(self.sys.abstract_state()).0 {
+            self.stats.states_new += 1;
+        }
+        self.drain()?;
+        self.anchor()?; // the first id: ROOT
+        Ok(())
+    }
+
+    /// Checkpoints the live state and pins it: the search re-enters every
+    /// frame's state, so each one is pinned against budget-driven eviction
+    /// until its frame retires.
+    fn anchor(&mut self) -> Result<StateId, StopReason> {
+        let id = self.checkpoint()?;
+        self.sys.pin(id);
+        self.current = Some(id);
+        Ok(id)
+    }
+
+    /// Opens a frame on the live state, checkpointed as `state`. With
+    /// [`ExploreConfig::por_persistent`], its ops are restricted to the
+    /// system's persistent set; masked-out ops count as pruned.
+    fn push_frame(&mut self, state: StateId, prefix: Vec<S::Op>, sleep: Vec<S::Op>) {
+        let mut ops = self.sys.ops();
+        if self.cfg.por_persistent {
+            if let Some(mask) = self
+                .sys
+                .persistent_set(&ops)
+                .filter(|m| m.len() == ops.len())
+            {
+                let before = ops.len();
+                let mut keep = mask.into_iter();
+                ops.retain(|_| keep.next().unwrap_or(true));
+                self.stats.pruned += (before - ops.len()) as u64;
+            }
+        }
+        self.frames.push_back(Frame {
+            state,
+            prefix,
+            ops,
+            next: 0,
+            sleep,
+        });
+    }
+
+    /// Drops a frame's checkpoint.
+    fn retire(&mut self, frame: &Frame<S::Op>) {
+        if self.keep_root && frame.state == ROOT {
+            return;
+        }
+        self.sys.unpin(frame.state);
+        self.sys.release(frame.state);
+        if !self.cfg.retain_states {
+            self.mem.release(frame.state);
+        }
+    }
+
+    /// Index of the frame the search continues.
+    fn active(&self) -> Option<usize> {
+        match self.order {
+            WorkerStrategy::Bfs => (!self.frames.is_empty()).then_some(0),
+            _ => self.frames.len().checked_sub(1),
+        }
+    }
+
+    /// Rebuilds a published entry's state by replaying its prefix from the
+    /// root, then opens a frame on it. A prefix that no longer replays
+    /// cleanly is dropped as stale.
+    fn adopt(&mut self, entry: FrontierEntry<S::Op>) -> Result<(), StopReason> {
+        if self.current != Some(ROOT) {
+            self.enter(ROOT).map_err(restore_failure)?;
+            self.current = Some(ROOT);
+        }
+        for (i, op) in entry.prefix.iter().enumerate() {
+            self.current = None;
+            match self.sys.apply(op) {
+                ApplyOutcome::Ok => self.stats.ops_replayed += 1,
+                ApplyOutcome::Prune(_) => {
+                    self.stats.pruned += 1;
+                    return Ok(());
+                }
+                ApplyOutcome::Violation(message) => {
+                    self.violation(entry.prefix[..=i].to_vec(), message);
+                    return match self.cfg.stop_on_violation {
+                        true => Err(StopReason::Violation),
+                        false => Ok(()),
+                    };
+                }
+            }
+        }
+        // An empty prefix is the root itself, already checkpointed.
+        let state = match self.current {
+            Some(root) => root,
+            None => self.anchor()?,
+        };
+        self.push_frame(state, entry.prefix, entry.sleep);
+        Ok(())
+    }
+
+    /// Hands the lowest unfinished frame the search is not standing on to
+    /// the fleet. Returns whether there was one.
+    fn publish_lowest(&mut self, fleet: &Fleet<'_, S::Op>) -> Result<bool, StopReason> {
+        let active = self.active();
+        let Some(i) =
+            (0..self.frames.len()).find(|&i| Some(i) != active && self.frames[i].unfinished())
+        else {
+            return Ok(false);
+        };
+        let frame = self.frames.remove(i).expect("index in range");
+        self.retire(&frame);
+        fleet
+            .publish(frame.into_entry())
+            .map_err(|e| spill_failure("frontier", e))?;
+        Ok(true)
+    }
+
+    /// Explores until the frames run out or a budget, violation, or failure
+    /// stops the search. In a fleet, an empty deque takes over published
+    /// work instead, and `None` means the fleet paused this worker (a
+    /// snapshot round ended, or another worker raised the stop flag).
+    fn run(&mut self, mut fleet: Option<&mut Fleet<'_, S::Op>>) -> Option<StopReason> {
+        loop {
+            if let Err(stop) = self.step(&mut fleet) {
+                return stop;
             }
         }
     }
 
-    /// Runs with a caller-owned visited set — the paper's §7 resumability:
-    /// persist the visited set across an interruption (e.g. a kernel crash
-    /// during checking) and resume without re-exploring known states. The
-    /// set may also be a swarm-shared [`crate::ShardedVisited`].
-    pub fn run_with_visited<S: ModelSystem, V: VisitedHandle>(
-        &self,
-        sys: &mut S,
-        visited: &mut V,
-    ) -> ExploreReport<S::Op> {
-        let visited = &mut *visited;
-        let start_ns = self.clock.as_ref().map(Clock::now_ns).unwrap_or(0);
-        let mut stats = ExploreStats::default();
-        let mut violations = Vec::new();
-        let mut mem = MemoryModel::new(self.cfg.mem);
-        let mut next_id = 0u64;
-
-        let root_hash = sys.abstract_state();
-        if visited.insert(root_hash).0 {
-            stats.states_new += 1;
+    /// One step of [`Engine::run`]: takes the active frame's next op, or
+    /// retires the finished frame, or (in a fleet) trades work. `Err`
+    /// carries `run`'s result.
+    fn step(
+        &mut self,
+        fleet: &mut Option<&mut Fleet<'_, S::Op>>,
+    ) -> Result<(), Option<StopReason>> {
+        let (ops, states) = match fleet.as_deref_mut() {
+            Some(f) => f.totals(&self.stats).ok_or(None)?,
+            None => (self.stats.ops_executed, self.stats.states_new),
+        };
+        if let Some(stop) = self.budget_stop(ops, states) {
+            return Err(Some(stop));
         }
-
-        let root = StateId(next_id);
-        next_id += 1;
-        let stop = (|| -> StopReason {
-            self.charge(visited.take_pending_ns());
-            if let Some(e) = visited.error() {
-                return StopReason::Fatal(format!("visited spill failed: {e}"));
+        if let Some(f) = fleet.as_deref_mut() {
+            while f.wants_work() && self.publish_lowest(f)? {}
+            if self.frames.is_empty() {
+                match f.acquire().map_err(|e| spill_failure("frontier", e))? {
+                    Work::Entry(entry) => self.adopt(entry)?,
+                    Work::Wait => {}
+                    Work::Done => return Err(Some(StopReason::Exhausted)),
+                }
+                return Ok(());
             }
-            match sys.checkpoint(root) {
-                Ok(bytes) => match mem.store(root, bytes as u64) {
-                    Ok(cost) => self.charge(cost),
-                    Err(oom) => return StopReason::OutOfMemory(oom),
-                },
-                Err(e) => return StopReason::Fatal(e),
+        }
+        let at = self.active().ok_or(StopReason::Exhausted)?;
+        let frame = &mut self.frames[at];
+        if !frame.unfinished() {
+            let frame = self.frames.remove(at).expect("index in range");
+            self.retire(&frame);
+            if let Some(f) = fleet.as_deref() {
+                f.expanded();
             }
-            // DFS re-enters every state on its backtrack spine, so each one
-            // is pinned against budget-driven eviction until its frame pops.
-            sys.pin(root);
-            stats.checkpoints += 1;
-            let root_ops = sys.ops();
-            let root_ops = persistent_filter(&self.cfg, sys, root_ops, &mut stats.pruned);
-            let mut stack: Vec<Frame<S::Op>> = vec![Frame {
-                state: root,
-                ops: root_ops,
-                next: 0,
-                sleep: Vec::new(),
-                op_from_parent: None,
-            }];
-            // The concrete state the system is currently in, when it matches
-            // a stored checkpoint. SPIN only restores on backtrack: while
-            // the search advances deeper, the live state IS the frame state.
-            let mut current: Option<StateId> = Some(root);
-
-            loop {
-                if stats.ops_executed >= self.cfg.max_ops {
-                    return StopReason::OpBudget;
-                }
-                if stats.states_new >= self.cfg.max_states {
-                    return StopReason::StateBudget;
-                }
-                if let (Some(limit), Some(c)) = (self.cfg.max_virtual_ns, &self.clock) {
-                    if c.now_ns() - start_ns >= limit {
-                        return StopReason::TimeBudget;
-                    }
-                }
-                let Some(frame) = stack.last_mut() else {
-                    return StopReason::Exhausted;
+            return Ok(());
+        }
+        let idx = frame.next;
+        frame.next += 1;
+        let op = frame.ops[idx].clone();
+        if frame.sleep.contains(&op) {
+            self.stats.pruned += 1;
+            return Ok(());
+        }
+        let (state, depth) = (frame.state, frame.prefix.len() + 1);
+        if self.current != Some(state) {
+            self.enter(state).map_err(restore_failure)?;
+        }
+        // Applying the op leaves the system off any stored state until a
+        // checkpoint re-anchors it.
+        self.current = None;
+        let outcome = self.sys.apply(&op);
+        self.stats.ops_executed += 1;
+        match outcome {
+            ApplyOutcome::Ok => {}
+            ApplyOutcome::Prune(_) => {
+                self.stats.pruned += 1;
+                return Ok(());
+            }
+            ApplyOutcome::Violation(message) => {
+                let mut trace = self.frames[at].prefix.clone();
+                trace.push(op);
+                self.violation(trace, message);
+                return match self.cfg.stop_on_violation {
+                    true => Err(Some(StopReason::Violation)),
+                    false => Ok(()),
                 };
-                if frame.next >= frame.ops.len() {
-                    sys.unpin(frame.state);
-                    sys.release(frame.state);
-                    if !self.cfg.retain_states {
-                        mem.release(frame.state);
-                    }
-                    stack.pop();
-                    continue;
-                }
-                let idx = frame.next;
-                frame.next += 1;
-                let op = frame.ops[idx].clone();
-                if self.cfg.por && frame.sleep.contains(&op) {
-                    stats.pruned += 1;
-                    continue;
-                }
-                let frame_state = frame.state;
-                if current != Some(frame_state) {
-                    self.charge(mem.access(frame_state));
-                    if let Err(e) = sys.restore(frame_state) {
-                        return restore_failure(e);
-                    }
-                    stats.restores += 1;
-                }
-                // Applying the op leaves the system off any stored state
-                // until a checkpoint re-anchors it.
-                current = None;
-                let outcome = sys.apply(&op);
-                stats.ops_executed += 1;
-                match outcome {
-                    ApplyOutcome::Ok => {}
-                    ApplyOutcome::Prune(_) => {
-                        stats.pruned += 1;
-                        continue;
-                    }
-                    ApplyOutcome::Violation(message) => {
-                        let mut trace: Vec<S::Op> = stack
-                            .iter()
-                            .filter_map(|f| f.op_from_parent.clone())
-                            .collect();
-                        trace.push(op);
-                        violations.push(record_violation(sys, trace, message, stats.ops_executed));
-                        if self.cfg.stop_on_violation {
-                            return StopReason::Violation;
-                        }
-                        continue;
-                    }
-                }
-                let h = sys.abstract_state();
-                let (visit, resize) = visited.insert_at(h, stack.len() as u32);
-                if let Some(r) = resize {
-                    stats.resize_events += 1;
-                    self.charge(r.cost_ns);
-                    self.charge(mem.set_overhead(visited.bytes() + r.transient_bytes));
-                    self.charge(mem.set_overhead(visited.bytes()));
-                }
-                self.charge(visited.take_pending_ns());
-                if let Some(e) = visited.error() {
-                    return StopReason::Fatal(format!("visited spill failed: {e}"));
-                }
-                if visit == Visit::Matched {
-                    stats.states_matched += 1;
-                    continue;
-                }
-                if visit == Visit::New {
-                    stats.states_new += 1;
-                }
-                // `Shallower` re-expands a known state reached closer to the
-                // root: without this, depth-bounded coverage would depend on
-                // exploration order (SPIN re-explores identically).
-                stats.max_depth_seen = stats.max_depth_seen.max(stack.len());
-                if stack.len() >= self.cfg.max_depth {
-                    continue; // depth bound: record the state, don't expand
-                }
-                let child = StateId(next_id);
-                next_id += 1;
-                match sys.checkpoint(child) {
-                    Ok(bytes) => match mem.store(child, bytes as u64) {
-                        Ok(cost) => self.charge(cost),
-                        Err(oom) => return StopReason::OutOfMemory(oom),
-                    },
-                    Err(e) => return StopReason::Fatal(e),
-                }
-                sys.pin(child);
-                stats.checkpoints += 1;
-                current = Some(child);
-                let sleep = if self.cfg.por {
-                    let parent = stack.last().expect("frame exists");
-                    let mut s: Vec<S::Op> = parent
-                        .sleep
-                        .iter()
-                        .filter(|x| sys.independent(x, &op))
-                        .cloned()
-                        .collect();
-                    for prev in &parent.ops[..idx] {
-                        if sys.independent(prev, &op) && !s.contains(prev) {
-                            s.push(prev.clone());
-                        }
-                    }
-                    s
-                } else {
-                    Vec::new()
-                };
-                let ops = sys.ops();
-                let ops = persistent_filter(&self.cfg, sys, ops, &mut stats.pruned);
-                stack.push(Frame {
-                    state: child,
-                    ops,
-                    next: 0,
-                    sleep,
-                    op_from_parent: Some(op),
-                });
             }
-        })();
+        }
+        let h = self.sys.abstract_state();
+        match self.visit(h, depth as u32)? {
+            Visit::Matched => {
+                self.stats.states_matched += 1;
+                return Ok(());
+            }
+            Visit::New => self.stats.states_new += 1,
+            // `Shallower` re-expands a known state reached closer to the
+            // root: without this, depth-bounded coverage would depend on
+            // exploration order (SPIN re-explores identically).
+            Visit::Shallower => {}
+        }
+        self.stats.max_depth_seen = self.stats.max_depth_seen.max(depth);
+        if depth >= self.cfg.max_depth {
+            return Ok(()); // depth bound: record the state, don't expand
+        }
+        let child = self.anchor()?;
+        let parent = &self.frames[at];
+        let mut sleep = Vec::new();
+        if self.cfg.por {
+            for x in parent.sleep.iter().chain(&parent.ops[..idx]) {
+                if self.sys.independent(x, &op) && !sleep.contains(x) {
+                    sleep.push(x.clone());
+                }
+            }
+        }
+        let mut prefix = parent.prefix.clone();
+        prefix.push(op);
+        self.push_frame(child, prefix, sleep);
+        Ok(())
+    }
 
-        self.charge(visited.take_pending_ns());
-        stats.checkpoint_store = sys.checkpoint_store_stats();
-        stats.crash = sys.crash_stats();
-        stats.peak_memory_bytes = mem.peak_bytes();
-        stats.swap_traffic_bytes = mem.swap_traffic_bytes();
-        stats.swapped_bytes = mem.swapped_bytes();
-        stats.hit_rate = mem.hit_rate();
-        stats.visited_peak_bytes = visited.peak_bytes();
-        stats.spill = visited.spill_stats();
-        stats.virtual_ns = self
-            .clock
-            .as_ref()
-            .map(|c| c.now_ns() - start_ns)
-            .unwrap_or(0);
+    /// Closes the books: end-of-run memory, visited-set and system stats.
+    fn finish(mut self, stop: StopReason) -> ExploreReport<S::Op> {
+        let pending = self.visited.take_pending_ns();
+        self.charge(pending);
+        let stats = &mut self.stats;
+        stats.checkpoint_store = self.sys.checkpoint_store_stats();
+        stats.crash = self.sys.crash_stats();
+        stats.peak_memory_bytes = self.mem.peak_bytes();
+        stats.swap_traffic_bytes = self.mem.swap_traffic_bytes();
+        stats.swapped_bytes = self.mem.swapped_bytes();
+        stats.hit_rate = self.mem.hit_rate();
+        stats.visited_peak_bytes = self.visited.peak_bytes();
+        stats.spill = self.visited.spill_stats();
+        stats.virtual_ns = self.clock.map_or(0, |c| c.now_ns() - self.start_ns);
         ExploreReport {
-            stats,
-            violations,
+            stats: self.stats,
+            violations: self.violations,
             stop,
         }
     }
 }
 
-/// Breadth-first explorer. Finds *shortest* violation traces, at the cost of
-/// storing a frontier of concrete states (memory hungry, like real BFS model
-/// checking).
-#[derive(Debug)]
-pub struct BfsExplorer {
-    cfg: ExploreConfig,
-    clock: Option<Clock>,
-}
-
-impl BfsExplorer {
-    /// Creates an explorer with the given bounds.
-    pub fn new(cfg: ExploreConfig) -> Self {
-        BfsExplorer { cfg, clock: None }
-    }
-
-    /// Attaches a virtual clock.
-    pub fn with_clock(mut self, clock: Clock) -> Self {
-        self.clock = Some(clock);
-        self
-    }
-
-    fn charge(&self, ns: u64) {
-        if let Some(c) = &self.clock {
-            c.advance_ns(ns);
-        }
-    }
-
-    /// Runs the exploration.
-    pub fn run<S: ModelSystem>(&self, sys: &mut S) -> ExploreReport<S::Op> {
-        match &self.cfg.mem_budget {
-            Some(budget) => match ShardedVisited::with_spill(self.cfg.visited_capacity, budget) {
-                Ok(mut visited) => self.run_with_visited(sys, &mut visited),
-                Err(e) => spill_init_failure(e),
-            },
-            None => {
-                let mut visited = VisitedSet::new(self.cfg.visited_capacity);
-                self.run_with_visited(sys, &mut visited)
+/// Runs one search over `visited`: alone (`fleet: None`), or as one worker
+/// of a fleet, taking published work from it and backtracking by restore
+/// within it. A fleet worker hands whatever it leaves unexpanded back to the
+/// fleet's queues, for a thief, the next round, or the snapshot. Returns the
+/// stop reason (`None`: paused by the fleet) and the report.
+pub(crate) fn search<S: ModelSystem, V: VisitedHandle + ?Sized>(
+    cfg: &ExploreConfig,
+    clock: Option<&Clock>,
+    order: WorkerStrategy,
+    sys: &mut S,
+    visited: &mut V,
+    mut fleet: Option<&mut Fleet<'_, S::Op>>,
+) -> (Option<StopReason>, ExploreReport<S::Op>) {
+    let mut engine = Engine::new(cfg, clock, order, sys, visited);
+    engine.keep_root = fleet.is_some();
+    let mut stop = match engine.start() {
+        Ok(_) => {
+            // A fleet worker's frames come from the queues, which hold the
+            // root entry (or the resumed ones) to begin with.
+            if fleet.is_none() {
+                engine.push_frame(ROOT, Vec::new(), Vec::new());
             }
+            engine.run(fleet.as_deref_mut())
         }
-    }
-
-    /// Runs with a caller-owned visited set (§7 resumability — see
-    /// [`DfsExplorer::run_with_visited`]).
-    pub fn run_with_visited<S: ModelSystem, V: VisitedHandle>(
-        &self,
-        sys: &mut S,
-        visited: &mut V,
-    ) -> ExploreReport<S::Op> {
-        use std::collections::VecDeque;
-        let start_ns = self.clock.as_ref().map(Clock::now_ns).unwrap_or(0);
-        let mut stats = ExploreStats::default();
-        let mut violations = Vec::new();
-        let mut mem = MemoryModel::new(self.cfg.mem);
-        let mut next_id = 0u64;
-        // Parent-pointer arena for trace reconstruction.
-        let mut arena: Vec<(Option<usize>, Option<S::Op>)> = vec![(None, None)];
-
-        if visited.insert(sys.abstract_state()).0 {
-            stats.states_new += 1;
-        }
-        let root = StateId(next_id);
-        next_id += 1;
-        let stop = (|| -> StopReason {
-            self.charge(visited.take_pending_ns());
-            if let Some(e) = visited.error() {
-                return StopReason::Fatal(format!("visited spill failed: {e}"));
-            }
-            match sys.checkpoint(root) {
-                Ok(bytes) => match mem.store(root, bytes as u64) {
-                    Ok(cost) => self.charge(cost),
-                    Err(oom) => return StopReason::OutOfMemory(oom),
-                },
-                Err(e) => return StopReason::Fatal(e),
-            }
-            // BFS re-enters every frontier state once per op, so the whole
-            // frontier is pinned against eviction until it is expanded.
-            sys.pin(root);
-            stats.checkpoints += 1;
-            let mut queue: VecDeque<(StateId, usize, usize)> = VecDeque::new();
-            queue.push_back((root, 0, 0)); // (state, depth, arena idx)
-            while let Some((state, depth, node)) = queue.pop_front() {
-                self.charge(mem.access(state));
-                if let Err(e) = sys.restore(state) {
-                    return restore_failure(e);
-                }
-                stats.restores += 1;
-                let ops = sys.ops();
-                for op in ops {
-                    if stats.ops_executed >= self.cfg.max_ops {
-                        return StopReason::OpBudget;
-                    }
-                    if stats.states_new >= self.cfg.max_states {
-                        return StopReason::StateBudget;
-                    }
-                    self.charge(mem.access(state));
-                    if let Err(e) = sys.restore(state) {
-                        return restore_failure(e);
-                    }
-                    stats.restores += 1;
-                    let outcome = sys.apply(&op);
-                    stats.ops_executed += 1;
-                    match outcome {
-                        ApplyOutcome::Ok => {}
-                        ApplyOutcome::Prune(_) => {
-                            stats.pruned += 1;
-                            continue;
-                        }
-                        ApplyOutcome::Violation(message) => {
-                            let mut trace = Vec::new();
-                            let mut cur = Some(node);
-                            while let Some(i) = cur {
-                                if let Some(op) = &arena[i].1 {
-                                    trace.push(op.clone());
-                                }
-                                cur = arena[i].0;
-                            }
-                            trace.reverse();
-                            trace.push(op.clone());
-                            violations.push(record_violation(
-                                sys,
-                                trace,
-                                message,
-                                stats.ops_executed,
-                            ));
-                            if self.cfg.stop_on_violation {
-                                return StopReason::Violation;
-                            }
-                            continue;
-                        }
-                    }
-                    let h = sys.abstract_state();
-                    // BFS reaches every state at its minimal depth first, so
-                    // plain matching is already order-independent.
-                    let (visit, resize) = visited.insert_at(h, depth as u32 + 1);
-                    if let Some(r) = resize {
-                        stats.resize_events += 1;
-                        self.charge(r.cost_ns);
-                        self.charge(mem.set_overhead(visited.bytes()));
-                    }
-                    self.charge(visited.take_pending_ns());
-                    if let Some(e) = visited.error() {
-                        return StopReason::Fatal(format!("visited spill failed: {e}"));
-                    }
-                    if visit != Visit::New {
-                        stats.states_matched += 1;
-                        continue;
-                    }
-                    stats.states_new += 1;
-                    stats.max_depth_seen = stats.max_depth_seen.max(depth + 1);
-                    if depth + 1 >= self.cfg.max_depth {
-                        continue;
-                    }
-                    let child = StateId(next_id);
-                    next_id += 1;
-                    match sys.checkpoint(child) {
-                        Ok(bytes) => match mem.store(child, bytes as u64) {
-                            Ok(cost) => self.charge(cost),
-                            Err(oom) => return StopReason::OutOfMemory(oom),
-                        },
-                        Err(e) => return StopReason::Fatal(e),
-                    }
-                    sys.pin(child);
-                    stats.checkpoints += 1;
-                    arena.push((Some(node), Some(op.clone())));
-                    queue.push_back((child, depth + 1, arena.len() - 1));
-                }
-                sys.unpin(state);
-                sys.release(state);
-                if !self.cfg.retain_states {
-                    mem.release(state);
+        Err(stop) => Some(stop),
+    };
+    if let Some(f) = fleet {
+        while let Some(frame) = engine.frames.pop_front() {
+            engine.retire(&frame);
+            if frame.unfinished() {
+                if let Err(e) = f.publish(frame.into_entry()) {
+                    stop = Some(spill_failure("frontier", e));
                 }
             }
-            StopReason::Exhausted
-        })();
-
-        self.charge(visited.take_pending_ns());
-        stats.checkpoint_store = sys.checkpoint_store_stats();
-        stats.crash = sys.crash_stats();
-        stats.peak_memory_bytes = mem.peak_bytes();
-        stats.swap_traffic_bytes = mem.swap_traffic_bytes();
-        stats.swapped_bytes = mem.swapped_bytes();
-        stats.hit_rate = mem.hit_rate();
-        stats.visited_peak_bytes = visited.peak_bytes();
-        stats.spill = visited.spill_stats();
-        stats.virtual_ns = self
-            .clock
-            .as_ref()
-            .map(|c| c.now_ns() - start_ns)
-            .unwrap_or(0);
-        ExploreReport {
-            stats,
-            violations,
-            stop,
         }
     }
+    let report = engine.finish(stop.clone().unwrap_or(StopReason::Exhausted));
+    (stop, report)
 }
 
-/// Randomized walker: repeatedly executes random enabled operations,
-/// restarting from the initial state at the depth bound. This is the
-/// long-run mode behind the paper's multi-day soaks (randomized driver
-/// processes, §2).
-#[derive(Debug)]
-pub struct RandomWalk {
-    cfg: ExploreConfig,
-    clock: Option<Clock>,
+/// Declares an explorer type: exploration bounds plus an optional virtual
+/// clock.
+macro_rules! explorer {
+    ($(#[$doc:meta])* $name:ident) => {
+        $(#[$doc])*
+        #[derive(Debug)]
+        pub struct $name {
+            cfg: ExploreConfig,
+            clock: Option<Clock>,
+        }
+
+        impl $name {
+            /// Creates an explorer with the given bounds.
+            pub fn new(cfg: ExploreConfig) -> Self {
+                $name { cfg, clock: None }
+            }
+
+            /// Attaches a virtual clock: memory-model costs are charged to
+            /// it, and `max_virtual_ns` becomes enforceable.
+            pub fn with_clock(mut self, clock: Clock) -> Self {
+                self.clock = Some(clock);
+                self
+            }
+        }
+    };
 }
+
+/// Declares a frame-engine explorer continuing frames in `$order`.
+macro_rules! frame_explorer {
+    ($(#[$doc:meta])* $name:ident, $order:expr) => {
+        explorer!($(#[$doc])* $name);
+
+        impl $name {
+            /// Runs the exploration to completion or budget. With
+            /// [`ExploreConfig::mem_budget`] set, the visited set is
+            /// disk-spilling.
+            pub fn run<S: ModelSystem>(&self, sys: &mut S) -> ExploreReport<S::Op> {
+                with_default_visited(&self.cfg, |visited| self.run_with_visited(sys, visited))
+            }
+
+            /// Runs with a caller-owned visited set — the paper's §7
+            /// resumability: persist the visited set across an
+            /// interruption (e.g. a kernel crash during checking) and
+            /// resume without re-exploring known states. The set may also
+            /// be a swarm-shared [`crate::ShardedVisited`].
+            pub fn run_with_visited<S: ModelSystem, V: VisitedHandle + ?Sized>(
+                &self,
+                sys: &mut S,
+                visited: &mut V,
+            ) -> ExploreReport<S::Op> {
+                search(&self.cfg, self.clock.as_ref(), $order, sys, visited, None).1
+            }
+        }
+    };
+}
+
+frame_explorer!(
+    /// Depth-first explorer with abstract-state matching — SPIN's search
+    /// strategy, as MCFS uses it.
+    DfsExplorer,
+    WorkerStrategy::Dfs
+);
+
+frame_explorer!(
+    /// Breadth-first explorer. Finds *shortest* violation traces, at the
+    /// cost of storing a frontier of concrete states (memory hungry, like
+    /// real BFS model checking).
+    BfsExplorer,
+    WorkerStrategy::Bfs
+);
+
+explorer!(
+    /// Randomized walker: repeatedly executes random enabled operations,
+    /// restarting from the initial state at the depth bound (`max_depth` is
+    /// the walk length between restarts). This is the long-run mode behind
+    /// the paper's multi-day soaks (randomized driver processes, §2).
+    RandomWalk
+);
 
 impl RandomWalk {
-    /// Creates a walker with the given bounds (`max_depth` is the walk
-    /// length between restarts).
-    pub fn new(cfg: ExploreConfig) -> Self {
-        RandomWalk { cfg, clock: None }
-    }
-
-    /// Attaches a virtual clock.
-    pub fn with_clock(mut self, clock: Clock) -> Self {
-        self.clock = Some(clock);
-        self
-    }
-
-    fn charge(&self, ns: u64) {
-        if let Some(c) = &self.clock {
-            c.advance_ns(ns);
-        }
-    }
-
     /// Runs the walk until a budget or violation stops it.
     ///
     /// `observe` is called after every operation with the running stats —
@@ -788,168 +840,94 @@ impl RandomWalk {
         sys: &mut S,
         observe: impl FnMut(&ExploreStats),
     ) -> ExploreReport<S::Op> {
-        match &self.cfg.mem_budget {
-            Some(budget) => match ShardedVisited::with_spill(self.cfg.visited_capacity, budget) {
-                Ok(mut visited) => self.run_resumable(sys, &mut visited, observe),
-                Err(e) => spill_init_failure(e),
-            },
-            None => {
-                let mut visited = VisitedSet::new(self.cfg.visited_capacity);
-                self.run_resumable(sys, &mut visited, observe)
-            }
-        }
+        with_default_visited(&self.cfg, |visited| {
+            self.walk(sys, visited, observe, &|| false)
+        })
     }
 
     /// Runs with a caller-owned visited set (§7 resumability — see
     /// [`DfsExplorer::run_with_visited`]) and a progress observer. The set
     /// may also be a swarm-shared [`crate::ShardedVisited`], in which case
     /// states another worker already expanded count as matched here.
-    pub fn run_resumable<S: ModelSystem, V: VisitedHandle>(
+    pub fn run_resumable<S: ModelSystem, V: VisitedHandle + ?Sized>(
+        &self,
+        sys: &mut S,
+        visited: &mut V,
+        observe: impl FnMut(&ExploreStats),
+    ) -> ExploreReport<S::Op> {
+        self.walk(sys, visited, observe, &|| false)
+    }
+
+    /// Runs the walk without an observer.
+    pub fn run<S: ModelSystem>(&self, sys: &mut S) -> ExploreReport<S::Op> {
+        self.run_observed(sys, |_| {})
+    }
+
+    /// The walk; it ends as exhausted once `halt` returns true (how swarm
+    /// workers drain when the fleet stops or a snapshot round ends).
+    pub(crate) fn walk<S: ModelSystem, V: VisitedHandle + ?Sized>(
         &self,
         sys: &mut S,
         visited: &mut V,
         mut observe: impl FnMut(&ExploreStats),
+        halt: &dyn Fn() -> bool,
     ) -> ExploreReport<S::Op> {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
-        let start_ns = self.clock.as_ref().map(Clock::now_ns).unwrap_or(0);
-        let mut rng = StdRng::seed_from_u64(self.cfg.seed);
-        let mut stats = ExploreStats::default();
-        let mut violations = Vec::new();
-        let mut mem = MemoryModel::new(self.cfg.mem);
-
-        if visited.insert(sys.abstract_state()).0 {
-            stats.states_new += 1;
-        }
-        let root = StateId(0);
+        let cfg = &self.cfg;
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let mut e = Engine::new(cfg, self.clock.as_ref(), WorkerStrategy::Walk, sys, visited);
         let mut trace: Vec<S::Op> = Vec::new();
-        let mut next_id = 1u64;
-        let mut stored: Vec<StateId> = vec![root];
-        let stop = (|| -> StopReason {
-            self.charge(visited.take_pending_ns());
-            if let Some(e) = visited.error() {
-                return StopReason::Fatal(format!("visited spill failed: {e}"));
-            }
-            match sys.checkpoint(root) {
-                Ok(bytes) => match mem.store(root, bytes as u64) {
-                    Ok(cost) => self.charge(cost),
-                    Err(oom) => return StopReason::OutOfMemory(oom),
-                },
-                Err(e) => return StopReason::Fatal(e),
-            }
+        let mut stored: Vec<StateId> = vec![ROOT];
+        let stop = (|| -> Result<StopReason, StopReason> {
             // Only the root is pinned: spread-restart targets are nice to
             // have, but the walk can always fall back to the root if the
             // budgeted store evicted one.
-            sys.pin(root);
-            stats.checkpoints += 1;
+            e.start()?;
             let mut depth = 0usize;
             loop {
-                if stats.ops_executed >= self.cfg.max_ops {
-                    return StopReason::OpBudget;
+                if let Some(stop) = e.budget_stop(e.stats.ops_executed, e.stats.states_new) {
+                    return Ok(stop);
                 }
-                if stats.states_new >= self.cfg.max_states {
-                    return StopReason::StateBudget;
-                }
-                if let (Some(limit), Some(c)) = (self.cfg.max_virtual_ns, &self.clock) {
-                    if c.now_ns() - start_ns >= limit {
-                        return StopReason::TimeBudget;
-                    }
-                }
-                let ops = sys.ops();
+                let ops = if halt() { Vec::new() } else { e.sys.ops() };
                 if ops.is_empty() && depth == 0 {
-                    // No operation is enabled even in the initial state:
-                    // nothing left to do (also how swarm workers drain once
-                    // the shared stop flag rises).
-                    return StopReason::Exhausted;
+                    // No operation is enabled even in the initial state
+                    // (or `halt` rose): nothing left to do.
+                    return Ok(StopReason::Exhausted);
                 }
-                if depth >= self.cfg.max_depth || ops.is_empty() {
-                    // Pick the restart target: the root, or (with
-                    // restart_spread) a random recently stored state.
-                    let target = if self.cfg.restart_spread > 0.0 && stored.len() > 1 {
-                        let window = ((stored.len() as f64 * self.cfg.restart_spread) as usize)
-                            .clamp(1, stored.len());
-                        let start = stored.len() - window;
-                        stored[rng.gen_range(start..stored.len())]
-                    } else {
-                        root
-                    };
-                    self.charge(mem.access(target));
-                    if let Err(e) = sys.restore(target) {
-                        if target != root && is_evicted_error(&e) {
-                            // The spread target aged out of the budgeted
-                            // store: forget it and restart from the pinned
-                            // root instead of dying.
-                            stored.retain(|s| *s != target);
-                            self.charge(mem.access(root));
-                            if let Err(e) = sys.restore(root) {
-                                return restore_failure(e);
-                            }
-                        } else {
-                            return restore_failure(e);
-                        }
-                    }
-                    stats.restores += 1;
+                if depth >= cfg.max_depth || ops.is_empty() {
+                    self.restart(&mut e, &mut rng, &mut stored)?;
                     depth = 0;
                     trace.clear();
                     continue;
                 }
                 let op = ops[rng.gen_range(0..ops.len())].clone();
-                let outcome = sys.apply(&op);
-                stats.ops_executed += 1;
-                trace.push(op.clone());
-                match outcome {
-                    ApplyOutcome::Ok => {}
-                    ApplyOutcome::Prune(_) => {
-                        stats.pruned += 1;
-                        trace.pop();
-                        observe(&stats);
-                        continue;
-                    }
-                    ApplyOutcome::Violation(message) => {
-                        violations.push(record_violation(
-                            sys,
-                            trace.clone(),
-                            message,
-                            stats.ops_executed,
-                        ));
-                        if self.cfg.stop_on_violation {
-                            return StopReason::Violation;
+                let outcome = e.sys.apply(&op);
+                e.stats.ops_executed += 1;
+                trace.push(op);
+                if !matches!(outcome, ApplyOutcome::Ok) {
+                    if let ApplyOutcome::Violation(message) = outcome {
+                        e.violation(trace.clone(), message);
+                        if cfg.stop_on_violation {
+                            return Ok(StopReason::Violation);
                         }
-                        trace.pop();
-                        observe(&stats);
-                        continue;
+                    } else {
+                        e.stats.pruned += 1;
                     }
+                    trace.pop();
+                    observe(&e.stats);
+                    continue;
                 }
                 depth += 1;
-                stats.max_depth_seen = stats.max_depth_seen.max(depth);
-                let h = sys.abstract_state();
-                let (is_new, resize) = visited.insert(h);
-                if let Some(r) = resize {
-                    stats.resize_events += 1;
-                    self.charge(r.cost_ns);
-                    self.charge(mem.set_overhead(visited.bytes() + r.transient_bytes));
-                    self.charge(mem.set_overhead(visited.bytes()));
-                }
-                self.charge(visited.take_pending_ns());
-                if let Some(e) = visited.error() {
-                    return StopReason::Fatal(format!("visited spill failed: {e}"));
-                }
-                if is_new {
-                    stats.states_new += 1;
+                e.stats.max_depth_seen = e.stats.max_depth_seen.max(depth);
+                let h = e.sys.abstract_state();
+                if e.visit(h, 0)? == Visit::New {
+                    e.stats.states_new += 1;
                     // The walker checkpoints newly discovered states, as
                     // MCFS does, so the state store (and its memory
                     // pressure) grows with exploration.
-                    let id = StateId(next_id);
-                    next_id += 1;
-                    match sys.checkpoint(id) {
-                        Ok(bytes) => match mem.store(id, bytes as u64) {
-                            Ok(cost) => self.charge(cost),
-                            Err(oom) => return StopReason::OutOfMemory(oom),
-                        },
-                        Err(e) => return StopReason::Fatal(e),
-                    }
-                    stats.checkpoints += 1;
-                    if self.cfg.restart_spread > 0.0 {
+                    let id = e.checkpoint()?;
+                    if cfg.restart_spread > 0.0 {
                         // Keep the state restorable: restarts may jump here.
                         stored.push(id);
                         // Bound the system-side store (the memory *model*
@@ -957,79 +935,60 @@ impl RandomWalk {
                         // have to hold them all).
                         if stored.len() > 4096 {
                             let old = stored.remove(0);
-                            sys.release(old);
-                            if !self.cfg.retain_states {
-                                mem.release(old);
+                            e.sys.release(old);
+                            if !cfg.retain_states {
+                                e.mem.release(old);
                             }
                         }
                     } else {
-                        sys.release(id);
+                        e.sys.release(id);
                     }
                 } else {
-                    stats.states_matched += 1;
-                    if self.cfg.backtrack_on_match {
+                    e.stats.states_matched += 1;
+                    if cfg.backtrack_on_match {
                         // SPIN semantics: a matched state ends the path.
-                        let target = if self.cfg.restart_spread > 0.0 && stored.len() > 1 {
-                            let window = ((stored.len() as f64 * self.cfg.restart_spread) as usize)
-                                .clamp(1, stored.len());
-                            let start = stored.len() - window;
-                            stored[rng.gen_range(start..stored.len())]
-                        } else {
-                            root
-                        };
-                        self.charge(mem.access(target));
-                        if let Err(e) = sys.restore(target) {
-                            if target != root && is_evicted_error(&e) {
-                                stored.retain(|s| *s != target);
-                                self.charge(mem.access(root));
-                                if let Err(e) = sys.restore(root) {
-                                    return restore_failure(e);
-                                }
-                            } else {
-                                return restore_failure(e);
-                            }
-                        }
-                        stats.restores += 1;
+                        self.restart(&mut e, &mut rng, &mut stored)?;
                         depth = 0;
                         trace.clear();
                     }
                     // Otherwise the walk keeps going through visited
                     // territory: the frontier lies beyond it.
                 }
-                stats.swapped_bytes = mem.swapped_bytes();
-                stats.hit_rate = mem.hit_rate();
-                stats.virtual_ns = self
-                    .clock
-                    .as_ref()
-                    .map(|c| c.now_ns() - start_ns)
-                    .unwrap_or(0);
-                observe(&stats);
+                e.stats.swapped_bytes = e.mem.swapped_bytes();
+                e.stats.hit_rate = e.mem.hit_rate();
+                e.stats.virtual_ns = e.elapsed_ns();
+                observe(&e.stats);
             }
-        })();
-
-        self.charge(visited.take_pending_ns());
-        stats.checkpoint_store = sys.checkpoint_store_stats();
-        stats.crash = sys.crash_stats();
-        stats.peak_memory_bytes = mem.peak_bytes();
-        stats.swap_traffic_bytes = mem.swap_traffic_bytes();
-        stats.swapped_bytes = mem.swapped_bytes();
-        stats.hit_rate = mem.hit_rate();
-        stats.visited_peak_bytes = visited.peak_bytes();
-        stats.spill = visited.spill_stats();
-        stats.virtual_ns = self
-            .clock
-            .as_ref()
-            .map(|c| c.now_ns() - start_ns)
-            .unwrap_or(0);
-        ExploreReport {
-            stats,
-            violations,
-            stop,
-        }
+        })()
+        .unwrap_or_else(|stop| stop);
+        e.finish(stop)
     }
 
-    /// Runs the walk without an observer.
-    pub fn run<S: ModelSystem>(&self, sys: &mut S) -> ExploreReport<S::Op> {
-        self.run_observed(sys, |_| {})
+    /// Moves the walk back to a restart target: the root, or (with
+    /// `restart_spread`) a random recently stored state. A spread target
+    /// the budgeted store has evicted is forgotten, and the walk restarts
+    /// from the pinned root instead of dying.
+    fn restart<S: ModelSystem, V: VisitedHandle + ?Sized>(
+        &self,
+        e: &mut Engine<'_, S, V>,
+        rng: &mut rand::rngs::StdRng,
+        stored: &mut Vec<StateId>,
+    ) -> Result<(), StopReason> {
+        use rand::Rng;
+        let target = if self.cfg.restart_spread > 0.0 && stored.len() > 1 {
+            let window =
+                ((stored.len() as f64 * self.cfg.restart_spread) as usize).clamp(1, stored.len());
+            let start = stored.len() - window;
+            stored[rng.gen_range(start..stored.len())]
+        } else {
+            ROOT
+        };
+        match e.enter(target) {
+            Err(err) if target != ROOT && is_evicted_error(&err) => {
+                stored.retain(|s| *s != target);
+                e.enter(ROOT).map_err(restore_failure)
+            }
+            other => other.map_err(restore_failure),
+        }
     }
 }

@@ -5,14 +5,18 @@
 //!
 //! 1. **Nondeterministic exploration** of bounded operation sequences:
 //!    [`DfsExplorer`] (SPIN's depth-first search), [`BfsExplorer`] (shortest
-//!    traces), and [`RandomWalk`] (the long-run soak mode).
+//!    traces), and [`RandomWalk`] (the long-run soak mode). DFS and BFS are
+//!    one engine: a loop over a deque of checkpointed frames that continues
+//!    the newest frame (DFS) or the oldest (BFS).
 //! 2. **Abstract-state matching**: visited states are 128-bit fingerprints
 //!    ([`ModelSystem::abstract_state`], MCFS's Algorithm-1 MD5), while
 //!    backtracking restores *concrete* states through
 //!    [`ModelSystem::checkpoint`]/[`restore`](ModelSystem::restore) — the
 //!    matched/unmatched split of SPIN's `c_track`.
-//! 3. **Swarm verification** ([`run_swarm`]): parallel diversified searches
-//!    sharing a stop flag.
+//! 3. **Swarm verification** ([`run_swarm`]): parallel diversified walks
+//!    sharing a stop flag, or DFS/BFS workers that run the same frame engine
+//!    and split one search by work stealing — a one-worker fleet is exactly
+//!    the [`DfsExplorer`] search.
 //!
 //! Two cross-cutting models make the paper's evaluation reproducible:
 //! [`MemoryModel`] (RAM/swap budgets with LRU residency — the source of the
@@ -101,16 +105,16 @@ mod tests {
     use std::collections::HashMap;
 
     /// A counter in 0..n with +1/-1 ops; violation at `bad`, if set.
-    struct Counter {
+    pub(super) struct Counter {
         value: i64,
         limit: i64,
         bad: Option<i64>,
         store: HashMap<u64, i64>,
-        bytes_per_state: usize,
+        pub(super) bytes_per_state: usize,
     }
 
     impl Counter {
-        fn new(limit: i64, bad: Option<i64>) -> Self {
+        pub(super) fn new(limit: i64, bad: Option<i64>) -> Self {
             Counter {
                 value: 0,
                 limit,
@@ -333,9 +337,18 @@ mod tests {
     }
 
     /// Two independent registers: POR should cut the explored interleavings.
-    struct TwoRegs {
+    pub(super) struct TwoRegs {
         regs: [u8; 2],
         store: HashMap<u64, [u8; 2]>,
+    }
+
+    impl TwoRegs {
+        pub(super) fn new() -> Self {
+            TwoRegs {
+                regs: [0; 2],
+                store: HashMap::new(),
+            }
+        }
     }
 
     impl ModelSystem for TwoRegs {
@@ -376,6 +389,12 @@ mod tests {
         fn independent(&self, a: &(usize, u8), b: &(usize, u8)) -> bool {
             a.0 != b.0 // different registers commute
         }
+
+        fn persistent_set(&mut self, enabled: &[(usize, u8)]) -> Option<Vec<bool>> {
+            // Until register 0 saturates, its op alone is persistent (it
+            // commutes with everything outside it).
+            (self.regs[0] < 3).then(|| enabled.iter().map(|op| op.0 == 0).collect())
+        }
     }
 
     #[test]
@@ -388,14 +407,8 @@ mod tests {
             por: false,
             ..cfg.clone()
         })
-        .run(&mut TwoRegs {
-            regs: [0; 2],
-            store: HashMap::new(),
-        });
-        let reduced = DfsExplorer::new(ExploreConfig { por: true, ..cfg }).run(&mut TwoRegs {
-            regs: [0; 2],
-            store: HashMap::new(),
-        });
+        .run(&mut TwoRegs::new());
+        let reduced = DfsExplorer::new(ExploreConfig { por: true, ..cfg }).run(&mut TwoRegs::new());
         assert_eq!(baseline.stop, StopReason::Exhausted);
         assert_eq!(reduced.stop, StopReason::Exhausted);
         assert_eq!(
@@ -584,42 +597,8 @@ mod tests {
 
 #[cfg(test)]
 mod resume_tests {
+    use super::frontier_tests::Grid;
     use super::*;
-    use std::collections::HashMap;
-
-    struct Grid {
-        pos: (i8, i8),
-        store: HashMap<u64, (i8, i8)>,
-    }
-
-    impl ModelSystem for Grid {
-        type Op = (i8, i8);
-        fn ops(&mut self) -> Vec<(i8, i8)> {
-            vec![(1, 0), (-1, 0), (0, 1), (0, -1)]
-        }
-        fn apply(&mut self, op: &(i8, i8)) -> ApplyOutcome {
-            let next = (self.pos.0 + op.0, self.pos.1 + op.1);
-            if next.0.abs() > 6 || next.1.abs() > 6 {
-                return ApplyOutcome::Prune("edge".into());
-            }
-            self.pos = next;
-            ApplyOutcome::Ok
-        }
-        fn abstract_state(&mut self) -> u128 {
-            (self.pos.0 as i32 as u32 as u128) | ((self.pos.1 as i32 as u32 as u128) << 32)
-        }
-        fn checkpoint(&mut self, id: StateId) -> Result<usize, String> {
-            self.store.insert(id.0, self.pos);
-            Ok(2)
-        }
-        fn restore(&mut self, id: StateId) -> Result<(), String> {
-            self.pos = *self.store.get(&id.0).ok_or("missing")?;
-            Ok(())
-        }
-        fn release(&mut self, id: StateId) {
-            self.store.remove(&id.0);
-        }
-    }
 
     /// The §7 resumability item: an interrupted run's visited set carries
     /// into the resumed run, which skips known states instead of redoing
@@ -627,10 +606,7 @@ mod resume_tests {
     #[test]
     fn interrupted_run_resumes_without_rework() {
         let mut visited = VisitedSet::new(1 << 12);
-        let mut sys = Grid {
-            pos: (0, 0),
-            store: HashMap::new(),
-        };
+        let mut sys = Grid::new();
         // Phase 1: "interrupted" by a small op budget.
         let phase1 = DfsExplorer::new(ExploreConfig {
             max_depth: 6,
@@ -643,10 +619,7 @@ mod resume_tests {
         assert!(after_phase1 > 5);
 
         // Phase 2: resume (fresh system, same initial state, shared set).
-        let mut sys2 = Grid {
-            pos: (0, 0),
-            store: HashMap::new(),
-        };
+        let mut sys2 = Grid::new();
         let phase2 = DfsExplorer::new(ExploreConfig {
             max_depth: 6,
             max_ops: 100_000,
@@ -661,10 +634,7 @@ mod resume_tests {
         // A cold full run discovers the same total state count as the two
         // resumed phases combined — nothing was lost across the interruption.
         let mut cold_visited = VisitedSet::new(1 << 12);
-        let mut sys3 = Grid {
-            pos: (0, 0),
-            store: HashMap::new(),
-        };
+        let mut sys3 = Grid::new();
         DfsExplorer::new(ExploreConfig {
             max_depth: 6,
             max_ops: 100_000,
@@ -677,10 +647,7 @@ mod resume_tests {
     #[test]
     fn walk_resumes_with_shared_visited() {
         let mut visited = VisitedSet::new(1 << 12);
-        let mut sys = Grid {
-            pos: (0, 0),
-            store: HashMap::new(),
-        };
+        let mut sys = Grid::new();
         let cfg = ExploreConfig {
             max_depth: 20,
             max_ops: 500,
@@ -689,10 +656,7 @@ mod resume_tests {
         };
         let r1 = RandomWalk::new(cfg.clone()).run_resumable(&mut sys, &mut visited, |_| {});
         let found1 = r1.stats.states_new;
-        let mut sys2 = Grid {
-            pos: (0, 0),
-            store: HashMap::new(),
-        };
+        let mut sys2 = Grid::new();
         let r2 = RandomWalk::new(ExploreConfig { seed: 10, ..cfg }).run_resumable(
             &mut sys2,
             &mut visited,
@@ -709,13 +673,13 @@ mod frontier_tests {
     use std::collections::HashMap;
 
     /// Bounded 2-D grid (|x|,|y| ≤ 6): 4 move ops, prune at the edge.
-    struct Grid {
+    pub(super) struct Grid {
         pos: (i8, i8),
         store: HashMap<u64, (i8, i8)>,
     }
 
     impl Grid {
-        fn new() -> Self {
+        pub(super) fn new() -> Self {
             Grid {
                 pos: (0, 0),
                 store: HashMap::new(),
@@ -753,7 +717,7 @@ mod frontier_tests {
     }
 
     /// Wire codec for the grid's `(i8, i8)` ops.
-    struct GridCodec;
+    pub(super) struct GridCodec;
 
     impl OpCodec<(i8, i8)> for GridCodec {
         fn encode_op(&self, op: &(i8, i8), out: &mut Vec<u8>) {
@@ -1075,9 +1039,18 @@ mod more_explorer_tests {
     use super::*;
     use std::collections::HashMap;
 
-    struct MultiBad {
+    pub(super) struct MultiBad {
         value: i64,
         store: HashMap<u64, i64>,
+    }
+
+    impl MultiBad {
+        pub(super) fn new() -> Self {
+            MultiBad {
+                value: 0,
+                store: HashMap::new(),
+            }
+        }
     }
 
     impl ModelSystem for MultiBad {
@@ -1115,10 +1088,7 @@ mod more_explorer_tests {
     fn collect_mode_gathers_every_violation() {
         // stop_on_violation = false: the whole bounded space is searched and
         // every violating transition is recorded.
-        let mut sys = MultiBad {
-            value: 0,
-            store: HashMap::new(),
-        };
+        let mut sys = MultiBad::new();
         let report = DfsExplorer::new(ExploreConfig {
             max_depth: 4,
             stop_on_violation: false,
@@ -1140,10 +1110,7 @@ mod more_explorer_tests {
 
     #[test]
     fn bfs_respects_op_budget() {
-        let mut sys = MultiBad {
-            value: 0,
-            store: HashMap::new(),
-        };
+        let mut sys = MultiBad::new();
         let report = BfsExplorer::new(ExploreConfig {
             max_depth: 10,
             max_ops: 25,
@@ -1158,10 +1125,7 @@ mod more_explorer_tests {
     #[test]
     fn bfs_and_dfs_agree_on_state_coverage() {
         let run_dfs = || {
-            let mut sys = MultiBad {
-                value: 0,
-                store: HashMap::new(),
-            };
+            let mut sys = MultiBad::new();
             DfsExplorer::new(ExploreConfig {
                 max_depth: 4,
                 stop_on_violation: false,
@@ -1172,10 +1136,7 @@ mod more_explorer_tests {
             .states_new
         };
         let run_bfs = || {
-            let mut sys = MultiBad {
-                value: 0,
-                store: HashMap::new(),
-            };
+            let mut sys = MultiBad::new();
             BfsExplorer::new(ExploreConfig {
                 max_depth: 4,
                 stop_on_violation: false,
@@ -1186,5 +1147,229 @@ mod more_explorer_tests {
             .states_new
         };
         assert_eq!(run_dfs(), run_bfs(), "both must cover the bounded space");
+    }
+}
+
+#[cfg(test)]
+mod engine_tests {
+    use super::frontier_tests::{Grid, GridCodec};
+    use super::more_explorer_tests::MultiBad;
+    use super::tests::{Counter, TwoRegs};
+    use super::*;
+
+    /// Wire codec for the counter-style `i64` and register `(usize, u8)`
+    /// ops.
+    struct TestCodec;
+
+    impl OpCodec<i64> for TestCodec {
+        fn encode_op(&self, op: &i64, out: &mut Vec<u8>) {
+            out.extend_from_slice(&op.to_le_bytes());
+        }
+        fn decode_op(&self, r: &mut ByteReader<'_>) -> Result<i64, PickleError> {
+            Ok(r.u64()? as i64)
+        }
+    }
+
+    impl OpCodec<(usize, u8)> for TestCodec {
+        fn encode_op(&self, op: &(usize, u8), out: &mut Vec<u8>) {
+            out.push(op.0 as u8);
+            out.push(op.1);
+        }
+        fn decode_op(&self, r: &mut ByteReader<'_>) -> Result<(usize, u8), PickleError> {
+            Ok((r.u8()? as usize, r.u8()?))
+        }
+    }
+
+    /// The counters a one-worker fleet must reproduce exactly.
+    fn counters(s: &ExploreStats) -> [u64; 8] {
+        [
+            s.ops_executed,
+            s.ops_replayed,
+            s.states_new,
+            s.states_matched,
+            s.pruned,
+            s.checkpoints,
+            s.restores,
+            s.max_depth_seen as u64,
+        ]
+    }
+
+    /// Runs `DfsExplorer` and a one-worker Dfs fleet on fresh systems from
+    /// `make` and asserts they are the same search, op for op: identical
+    /// counters, stop reason, violation traces, and visited sets.
+    fn assert_fleet_is_dfs<S, F>(
+        name: &str,
+        cfg: ExploreConfig,
+        make: F,
+        codec: &(dyn OpCodec<S::Op> + Sync),
+    ) where
+        S: ModelSystem,
+        S::Op: Send + 'static,
+        F: Fn() -> S + Sync,
+    {
+        let mut visited = ShardedVisited::new(cfg.visited_capacity, 8);
+        let dfs = DfsExplorer::new(cfg.clone()).run_with_visited(&mut make(), &mut visited);
+
+        let path =
+            std::env::temp_dir().join(format!("mcfs-engine-{name}-{}.pickle", std::process::id()));
+        let fleet = run_swarm_persistent(
+            &SwarmConfig {
+                workers: 1,
+                base: cfg,
+                shared_visited: true,
+                strategies: vec![WorkerStrategy::Dfs],
+            },
+            |_| make(),
+            SwarmPersist {
+                codec,
+                snapshot_path: Some(path.clone()),
+                snapshot_every: 0,
+                resume: None,
+            },
+        );
+        assert!(
+            fleet.persist_error.is_none(),
+            "{name}: {:?}",
+            fleet.persist_error
+        );
+        let snap = load_snapshot(&path, codec).expect("snapshot loads");
+        std::fs::remove_file(&path).ok();
+
+        let worker = &fleet.workers[0];
+        assert_eq!(worker.stop, dfs.stop, "{name}: stop reason");
+        assert_eq!(
+            counters(&worker.stats),
+            counters(&dfs.stats),
+            "{name}: [ops, replayed, new, matched, pruned, checkpoints, restores, depth]"
+        );
+        let traces = |r: &ExploreReport<S::Op>| -> Vec<Vec<S::Op>> {
+            r.violations.iter().map(|v| v.trace.clone()).collect()
+        };
+        assert_eq!(traces(worker), traces(&dfs), "{name}: violation traces");
+        assert_eq!(
+            snap.visited,
+            visited.export_entries(),
+            "{name}: visited sets"
+        );
+    }
+
+    #[test]
+    fn one_worker_dfs_fleet_is_the_dfs_explorer() {
+        for max_ops in [u64::MAX, 70] {
+            for por in [false, true] {
+                let cfg = ExploreConfig {
+                    max_depth: 5,
+                    max_ops,
+                    por,
+                    ..ExploreConfig::default()
+                };
+                let tag = format!("ops{max_ops}-por{por}");
+                assert_fleet_is_dfs(&format!("grid-{tag}"), cfg.clone(), Grid::new, &GridCodec);
+                assert_fleet_is_dfs(
+                    &format!("regs-{tag}"),
+                    cfg.clone(),
+                    TwoRegs::new,
+                    &TestCodec,
+                );
+                for stop_on_violation in [false, true] {
+                    let cfg = ExploreConfig {
+                        stop_on_violation,
+                        ..cfg.clone()
+                    };
+                    assert_fleet_is_dfs(
+                        &format!("multibad-{tag}-stop{stop_on_violation}"),
+                        cfg,
+                        MultiBad::new,
+                        &TestCodec,
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn op_budget_stops_one_worker_fleet_mid_search() {
+        // The budget must actually cut the search for the comparison above
+        // to cover a mid-search stop.
+        let report = run_swarm(
+            &SwarmConfig {
+                workers: 1,
+                base: ExploreConfig {
+                    max_depth: 5,
+                    max_ops: 70,
+                    ..ExploreConfig::default()
+                },
+                shared_visited: true,
+                strategies: vec![WorkerStrategy::Dfs],
+            },
+            |_| Grid::new(),
+        );
+        assert_eq!(report.workers[0].stop, StopReason::OpBudget);
+        assert_eq!(report.total_ops(), 70);
+    }
+
+    #[test]
+    fn bfs_honours_sleep_set_por() {
+        let cfg = ExploreConfig {
+            max_depth: 8,
+            ..ExploreConfig::default()
+        };
+        let run = |por: bool| {
+            BfsExplorer::new(ExploreConfig { por, ..cfg.clone() }).run(&mut TwoRegs::new())
+        };
+        let (full, reduced) = (run(false), run(true));
+        let dfs = DfsExplorer::new(ExploreConfig {
+            por: true,
+            ..cfg.clone()
+        })
+        .run(&mut TwoRegs::new());
+        assert_eq!(reduced.stop, StopReason::Exhausted);
+        assert!(reduced.stats.pruned > 0, "sleep sets must prune");
+        assert!(
+            reduced.stats.ops_executed < full.stats.ops_executed,
+            "POR must save BFS work: {} vs {}",
+            reduced.stats.ops_executed,
+            full.stats.ops_executed
+        );
+        assert_eq!(reduced.stats.states_new, full.stats.states_new);
+        assert_eq!(reduced.stats.states_new, dfs.stats.states_new);
+    }
+
+    #[test]
+    fn bfs_honours_persistent_sets() {
+        let cfg = ExploreConfig {
+            max_depth: 8,
+            por_persistent: true,
+            ..ExploreConfig::default()
+        };
+        let bfs = BfsExplorer::new(cfg.clone()).run(&mut TwoRegs::new());
+        let dfs = DfsExplorer::new(cfg).run(&mut TwoRegs::new());
+        assert!(bfs.stats.pruned > 0, "the persistent set must mask ops");
+        // Register 1 only moves once register 0 saturates: (0..=3, 0) plus
+        // (3, 1..=3).
+        assert_eq!(bfs.stats.states_new, 7);
+        assert_eq!(bfs.stats.states_new, dfs.stats.states_new);
+    }
+
+    #[test]
+    fn bfs_honours_time_budget() {
+        let mut sys = Counter::new(1_000, None);
+        sys.bytes_per_state = 1 << 20;
+        let report = BfsExplorer::new(ExploreConfig {
+            max_depth: 500,
+            max_ops: u64::MAX,
+            max_virtual_ns: Some(1_000_000),
+            // Charged retained states overflow RAM: every store swaps.
+            retain_states: true,
+            mem: MemConfig {
+                ram_bytes: 4 << 20,
+                swap_bytes: 1 << 30,
+                swap_ns_per_mib: 100_000,
+            },
+            ..ExploreConfig::default()
+        })
+        .with_clock(blockdev::Clock::new())
+        .run(&mut sys);
+        assert_eq!(report.stop, StopReason::TimeBudget);
     }
 }

@@ -3,42 +3,45 @@
 //!
 //! SPIN's swarm technique (Holzmann et al.) runs N independent verifications
 //! with different seeds and strategies — the paper plans to use it to explore
-//! larger state spaces in parallel (§7). [`run_swarm`] runs one explorer per
+//! larger state spaces in parallel (§7). [`run_swarm`] runs one search per
 //! worker thread over systems produced by a factory, with a shared stop flag
 //! so the first violation cancels the fleet.
 //!
-//! Two fleet shapes exist:
+//! Every fleet runs the same way; [`SwarmConfig::strategies`] assigns each
+//! worker its search:
 //!
-//! * **Classic walks** ([`SwarmConfig::strategies`] empty): every worker runs
-//!   a seed-diversified [`RandomWalk`]. With private visited sets workers
-//!   re-expand each other's states (maximum diversity); with
+//! * [`WorkerStrategy::Walk`] workers (every worker, when `strategies` is
+//!   empty) run seed-diversified [`RandomWalk`]s. With private visited sets
+//!   workers re-expand each other's states (maximum diversity); with
 //!   [`SwarmConfig::shared_visited`] they share one [`ShardedVisited`] and a
 //!   state expanded anywhere is pruned everywhere.
-//! * **Work-stealing frontier** (`strategies` non-empty): pending states
-//!   live in per-worker deques as *replayable op-prefixes*
-//!   ([`FrontierEntry`]); a worker whose deque runs dry steals half of a
-//!   victim's. The shared visited set arbitrates, so each state is expanded
-//!   exactly once fleet-wide and DFS/BFS — not just walks — parallelize.
-//!   [`WorkerStrategy::Dfs`] workers pop newest-first,
-//!   [`WorkerStrategy::Bfs`] oldest-first, and [`WorkerStrategy::Walk`]
-//!   workers run random walks against the same shared set. The system's
-//!   independence relation (e.g. the harness's `EffectIndex`) still applies
-//!   per-worker through sleep sets carried in the entries.
+//! * [`WorkerStrategy::Dfs`] and [`WorkerStrategy::Bfs`] workers split one
+//!   depth-bounded search. Each runs the explorers' frame engine
+//!   (`DfsExplorer`/`BfsExplorer`): its own frames carry checkpoint ids, so
+//!   it backtracks by restore, exactly as a single search does. Only when
+//!   another worker is idle — or at a snapshot round or a stop — does it
+//!   publish its lowest unfinished frame as a [`FrontierEntry`] (an
+//!   op-prefix plus a sleep set holding the ops it already took) to its
+//!   queue; an idle worker steals half of a victim's queue, replays the
+//!   prefix once from the root, and expands the entry as an ordinary frame.
+//!   The shared visited set arbitrates, so each state is expanded exactly
+//!   once fleet-wide, and a one-worker fleet is, op for op, the
+//!   `DfsExplorer` search.
 //!
-//! The op-prefix frontier is also what makes a swarm *resumable*:
+//! The op-prefix entries are also what make a swarm *resumable*:
 //! [`run_swarm_persistent`] periodically pickles the shared visited set, the
-//! frontier, RNG cursors, and cumulative stats to disk (atomically — see
-//! [`pickle::save_atomic`]) and can start from a loaded [`RunSnapshot`],
+//! queued entries, RNG cursors, and cumulative stats to disk (atomically —
+//! see [`pickle::save_atomic`]) and can start from a loaded [`RunSnapshot`],
 //! re-exploring zero already-visited states. Snapshots are taken at *round*
-//! boundaries: the fleet runs `snapshot_every` expansions, the worker scope
-//! joins (queues quiescent — no entry is ever half-expanded), the snapshot
-//! is cut, and the next round's workers are re-spawned from the factory.
+//! boundaries: the fleet runs `snapshot_every` expansions, every worker
+//! publishes its unfinished frames and the scope joins (no state is ever
+//! half-expanded), the snapshot is cut, and the next round's workers are
+//! re-spawned from the factory.
 //!
 //! A panicking worker does not abort the fleet: the panic is caught, the
 //! worker's slot reports [`StopReason::WorkerPanic`], its queue remains
 //! stealable by survivors, and the rest of the fleet runs to completion.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -47,25 +50,25 @@ use std::time::Duration;
 use parking_lot::Mutex;
 
 use crate::explore::{
-    record_violation, ExploreConfig, ExploreReport, ExploreStats, RandomWalk, StopReason,
+    search, spill_init_failure, with_default_visited, ExploreConfig, ExploreReport, ExploreStats,
+    RandomWalk, StopReason,
 };
 use crate::pickle::SnapshotWriter;
 use crate::pickle::{self, deal_frontier, FrontierEntry, OpCodec, RngCursor, RunSnapshot};
 use crate::spill::{FrontierQueue, FrontierSpill, SpillCtx, SpillStats};
-use crate::system::{is_evicted_error, ApplyOutcome, ModelSystem, StateId, Violation};
-use crate::visited::{ShardedVisited, Visit};
+use crate::system::{ModelSystem, Violation};
+use crate::visited::ShardedVisited;
 
 /// How one swarm worker searches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkerStrategy {
-    /// Pop the newest frontier entry (depth-first flavour: best replay
-    /// locality — children of the state just expanded replay one op).
+    /// Depth-first frame engine; takes the newest queued entry first.
     Dfs,
-    /// Pop the oldest frontier entry (breadth-first flavour: finds shallow
-    /// violations first, replays longer prefixes).
+    /// Breadth-first frame engine (finds shallow violations first); takes
+    /// the oldest queued entry first.
     Bfs,
-    /// Seed-diversified random walk over the shared visited set; does not
-    /// consume the frontier but prunes against (and feeds) the same set.
+    /// Seed-diversified random walk over the fleet's visited set; does not
+    /// take queued entries but prunes against (and feeds) the same set.
     Walk,
 }
 
@@ -75,20 +78,20 @@ pub struct SwarmConfig {
     /// Number of worker searches.
     pub workers: usize,
     /// Base exploration config; walk workers get `seed = base.seed + index`
-    /// (classic swarm diversification). In frontier mode `max_ops` and
-    /// `max_states` are *fleet-wide* budgets — the frontier is shared, so
+    /// (classic swarm diversification). For Dfs/Bfs workers `max_ops` and
+    /// `max_states` are *fleet-wide* budgets — they split one search, so
     /// per-worker budgets would be arbitrary; walk workers keep per-worker
-    /// op budgets as before.
+    /// op budgets.
     pub base: ExploreConfig,
     /// Share one sharded visited set across the fleet so workers skip
     /// states another worker already expanded, instead of duplicating work
-    /// with private per-worker sets. Implied (always on) in frontier mode,
-    /// where work-stealing without a shared set would be unsound.
+    /// with private per-worker sets. Implied (always on) when any worker
+    /// runs Dfs/Bfs, where work-stealing without a shared set would be
+    /// unsound, and in [`run_swarm_persistent`], which pickles the set.
     pub shared_visited: bool,
     /// Per-worker strategy assignment, cycled over the worker index (e.g.
     /// `[Dfs, Dfs, Walk]` over 5 workers gives Dfs,Dfs,Walk,Dfs,Dfs).
-    /// Empty selects the classic all-walk swarm; any non-empty assignment
-    /// selects the work-stealing frontier.
+    /// Empty means every worker walks (the classic swarm).
     ///
     /// Out-of-core operation rides in [`ExploreConfig::mem_budget`] on
     /// `base`: a shared visited set becomes disk-spilling, and in
@@ -104,10 +107,10 @@ pub struct SwarmPersist<'a, Op> {
     /// Where to write snapshots (atomic tempfile + rename); `None` disables
     /// snapshotting (a run can still *start* from `resume`).
     pub snapshot_path: Option<PathBuf>,
-    /// Snapshot cadence in frontier expansions (walk workers count ops
-    /// toward it). The fleet pauses at this boundary — workers park between
-    /// entry expansions — so every snapshot is a consistent visited+frontier
-    /// cut. 0 means "only at the end of the run".
+    /// Snapshot cadence in state expansions (walk workers count ops toward
+    /// it). The fleet pauses at this boundary — workers publish their
+    /// unfinished frames and park — so every snapshot is a consistent
+    /// visited+frontier cut. 0 means "only at the end of the run".
     ///
     /// When this is non-zero the factory is called once per worker per
     /// *round*, so it must produce a fresh system (at the initial state) on
@@ -154,12 +157,7 @@ impl<Op> SwarmReport<Op> {
     /// generations before a resume; prefix replays are counted separately —
     /// see [`SwarmReport::total_replayed`]).
     pub fn total_ops(&self) -> u64 {
-        self.baseline.ops_executed
-            + self
-                .workers
-                .iter()
-                .map(|w| w.stats.ops_executed)
-                .sum::<u64>()
+        self.sum(|s| s.ops_executed)
     }
 
     /// Total distinct states found by the swarm.
@@ -171,36 +169,20 @@ impl<Op> SwarmReport<Op> {
     /// genuinely overlap and the per-worker sum is the only number there
     /// is.
     pub fn total_states(&self) -> u64 {
-        match self.distinct_states {
-            Some(n) => n,
-            None => {
-                self.baseline.states_new
-                    + self.workers.iter().map(|w| w.stats.states_new).sum::<u64>()
-            }
-        }
-    }
-
-    /// Total visited-set matches across workers — with a shared set this
-    /// includes states first expanded by *another* worker.
-    pub fn total_matched(&self) -> u64 {
-        self.baseline.states_matched
-            + self
-                .workers
-                .iter()
-                .map(|w| w.stats.states_matched)
-                .sum::<u64>()
+        self.distinct_states
+            .unwrap_or_else(|| self.sum(|s| s.states_new))
     }
 
     /// Total operations replayed to reconstruct frontier states from their
     /// op-prefixes — the overhead work-stealing and resume pay instead of
     /// shipping concrete state between workers or processes.
     pub fn total_replayed(&self) -> u64 {
-        self.baseline.ops_replayed
-            + self
-                .workers
-                .iter()
-                .map(|w| w.stats.ops_replayed)
-                .sum::<u64>()
+        self.sum(|s| s.ops_replayed)
+    }
+
+    /// A counter summed over the resumed baseline and every worker.
+    fn sum(&self, counter: impl Fn(&ExploreStats) -> u64) -> u64 {
+        counter(&self.baseline) + self.workers.iter().map(|w| counter(&w.stats)).sum::<u64>()
     }
 
     /// All violations found by any worker.
@@ -235,22 +217,12 @@ impl<Op> SwarmReport<Op> {
 
 /// Renders a panic payload for [`StopReason::WorkerPanic`].
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "worker panicked with a non-string payload".to_string()
-    }
-}
-
-/// Classifies a restore error: budget-driven eviction is distinct from a
-/// genuine failure (mirrors the explorers' handling).
-fn restore_failure(e: String) -> StopReason {
-    if is_evicted_error(&e) {
-        StopReason::CheckpointEvicted(e)
-    } else {
-        StopReason::Fatal(e)
+    match payload.downcast::<String>() {
+        Ok(s) => *s,
+        Err(p) => p
+            .downcast_ref::<&str>()
+            .map_or("worker panicked with a non-string payload", |s| s)
+            .to_string(),
     }
 }
 
@@ -258,13 +230,7 @@ fn restore_failure(e: String) -> StopReason {
 /// initialize: every worker slot reports the failure.
 fn spill_init_report<Op>(workers: usize, e: &str) -> SwarmReport<Op> {
     SwarmReport {
-        workers: (0..workers.max(1))
-            .map(|_| ExploreReport {
-                stats: ExploreStats::default(),
-                violations: Vec::new(),
-                stop: StopReason::Fatal(format!("spill store init failed: {e}")),
-            })
-            .collect(),
+        workers: (0..workers.max(1)).map(|_| spill_init_failure(e)).collect(),
         distinct_states: None,
         baseline: ExploreStats::default(),
         persist_error: None,
@@ -277,26 +243,21 @@ fn spill_init_report<Op>(workers: usize, e: &str) -> SwarmReport<Op> {
 /// `factory` (one system per worker, seeded by worker index).
 ///
 /// With an empty [`SwarmConfig::strategies`] this is the classic
-/// seed-diversified walk swarm; otherwise the work-stealing frontier runs
-/// (see the module docs). The first worker to find a violation raises the
-/// shared stop flag. A worker panic is contained to its slot (see
-/// [`SwarmReport::panics`]); the rest of the fleet keeps searching.
+/// seed-diversified walk swarm; Dfs/Bfs workers split one search by work
+/// stealing (see the module docs). The first worker to find a violation
+/// raises the shared stop flag. A worker panic is contained to its slot
+/// (see [`SwarmReport::panics`]); the rest of the fleet keeps searching.
 pub fn run_swarm<S, F>(cfg: &SwarmConfig, factory: F) -> SwarmReport<S::Op>
 where
     S: ModelSystem,
     S::Op: Send + 'static,
     F: Fn(usize) -> S + Sync,
 {
-    if cfg.strategies.is_empty() {
-        run_walk_swarm(cfg, factory)
-    } else {
-        run_frontier_swarm::<S, F>(cfg, factory, None)
-    }
+    run_fleet::<S, F>(cfg, factory, None)
 }
 
-/// Runs a resumable work-stealing swarm: like [`run_swarm`] with non-empty
-/// strategies (an empty assignment defaults to all-[`WorkerStrategy::Dfs`]
-/// here), plus periodic atomic snapshots and/or an initial state loaded
+/// Runs a resumable swarm: like [`run_swarm`], with the visited set always
+/// shared, plus periodic atomic snapshots and/or an initial state loaded
 /// from a [`RunSnapshot`] (see [`SwarmPersist`]).
 pub fn run_swarm_persistent<S, F>(
     cfg: &SwarmConfig,
@@ -308,130 +269,32 @@ where
     S::Op: Send + 'static,
     F: Fn(usize) -> S + Sync,
 {
-    run_frontier_swarm::<S, F>(cfg, factory, Some(persist))
+    run_fleet::<S, F>(cfg, factory, Some(persist))
 }
 
-// ---------------------------------------------------------------------------
-// Classic walk swarm (strategies empty)
-// ---------------------------------------------------------------------------
-
-fn run_walk_swarm<S, F>(cfg: &SwarmConfig, factory: F) -> SwarmReport<S::Op>
-where
-    S: ModelSystem,
-    S::Op: Send + 'static,
-    F: Fn(usize) -> S + Sync,
-{
-    let stop = AtomicBool::new(false);
-    // One shard per worker (rounded up to a power of two, min 8) keeps
-    // same-shard collisions between workers rare. With a memory budget the
-    // shared set spills cold shards to disk instead.
-    let shared = match (cfg.shared_visited, &cfg.base.mem_budget) {
-        (false, _) => None,
-        (true, None) => Some(ShardedVisited::new(
-            cfg.base.visited_capacity,
-            cfg.workers.max(8),
-        )),
-        (true, Some(budget)) => {
-            match ShardedVisited::with_spill(cfg.base.visited_capacity, budget) {
-                Ok(v) => Some(v),
-                Err(e) => return spill_init_report(cfg.workers, &e),
-            }
-        }
-    };
-    let mut reports: Vec<Option<ExploreReport<S::Op>>> = (0..cfg.workers).map(|_| None).collect();
-
-    // mcfs-lint: allow(MC007, per-worker results land in indexed slots; the merge below is worker-order deterministic)
-    std::thread::scope(|scope| {
-        for (idx, slot) in reports.iter_mut().enumerate() {
-            let stop = &stop;
-            let factory = &factory;
-            let shared = shared.clone();
-            let base = cfg.base.clone();
-            scope.spawn(move || {
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    let mut worker_cfg = base;
-                    worker_cfg.seed = worker_cfg.seed.wrapping_add(idx as u64);
-                    let mut sys = Stoppable {
-                        inner: factory(idx),
-                        stop,
-                    };
-                    let walk = RandomWalk::new(worker_cfg);
-                    match shared {
-                        Some(mut visited) => {
-                            let mut report = walk.run_resumable(&mut sys, &mut visited, |_| {});
-                            // The shared set's spill counters are fleet-wide;
-                            // they surface once in `SwarmReport::spill`, not
-                            // per worker (summing per-worker copies of the
-                            // same global counters would overcount).
-                            report.stats.spill = None;
-                            report.stats.visited_peak_bytes = 0;
-                            report
-                        }
-                        None => walk.run(&mut sys),
-                    }
-                }));
-                *slot = Some(match result {
-                    Ok(report) => {
-                        if report.stop == StopReason::Violation {
-                            stop.store(true, Ordering::SeqCst);
-                        }
-                        report
-                    }
-                    // Contain the panic: survivors keep searching, the dead
-                    // worker's slot records why it stopped.
-                    Err(payload) => ExploreReport {
-                        stats: ExploreStats::default(),
-                        violations: Vec::new(),
-                        stop: StopReason::WorkerPanic(panic_message(payload)),
-                    },
-                });
-            });
-        }
-    });
-
-    SwarmReport {
-        workers: reports
-            .into_iter()
-            .map(|r| r.expect("worker slot filled"))
-            .collect(),
-        distinct_states: shared.as_ref().map(|s| s.len() as u64),
-        baseline: ExploreStats::default(),
-        persist_error: None,
-        spill: shared.as_ref().and_then(|s| s.spill_stats()),
-        visited_peak_bytes: shared.as_ref().map(|s| s.peak_bytes()).unwrap_or(0),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Work-stealing frontier swarm
-// ---------------------------------------------------------------------------
-
-/// Per-worker checkpoint cache capacity: concrete states keyed by the
-/// op-prefix that reaches them, so a worker expanding its own just-pushed
-/// children replays one op instead of the whole prefix. Eviction is FIFO —
-/// with LIFO (Dfs) pops the newest cached states are the hot ones.
-const PREFIX_CACHE_CAP: usize = 64;
-
-/// Shared coordination state of one frontier fleet.
+/// Shared coordination state of one fleet.
 struct FrontierShared<Op> {
-    /// Per-worker frontier queues. Owners push children to the back; Dfs
-    /// pops the back, Bfs pops the front, thieves steal from the front
-    /// (oldest entries — the biggest unexplored subtrees). Under a memory
-    /// budget with a codec, cold middles spill to pages.
+    /// Per-worker queues of published entries. Owners publish to the back;
+    /// Dfs workers take from the back, Bfs workers from the front, thieves
+    /// steal from the front (oldest entries — the biggest unexplored
+    /// subtrees). Under a memory budget with a codec, cold middles spill to
+    /// pages.
     queues: Vec<Mutex<FrontierQueue<Op>>>,
     /// Spill context for the queues: present only in persistent runs with a
     /// [`crate::MemBudget`] (spilling op-prefixes needs the op codec).
     frontier_spill: Option<FrontierSpill>,
-    /// The fleet-shared visited set (also what gets pickled).
-    visited: ShardedVisited,
-    /// Workers currently expanding an entry; termination needs empty queues
-    /// *and* zero busy workers (a busy worker may be about to push
-    /// children).
+    /// The fleet-shared visited set (also what gets pickled); `None` only
+    /// for an all-walk fleet with private sets.
+    visited: Option<ShardedVisited>,
+    /// Workers holding frames or an entry; termination needs empty queues
+    /// *and* zero busy workers (a busy worker may be about to publish).
     busy: AtomicUsize,
+    /// Dfs/Bfs workers out of work: busy workers publish frames for them.
+    idle: AtomicUsize,
     /// First violation (or fleet-wide budget) raised: everyone drains.
     stop: AtomicBool,
-    /// The current round's expansion quota is spent: workers park between
-    /// entry expansions so a consistent snapshot can be cut.
+    /// The current round's expansion quota is spent: workers publish their
+    /// frames and park so a consistent snapshot can be cut.
     round_done: AtomicBool,
     /// Expansions (and walk ops) performed this round.
     round_work: AtomicU64,
@@ -443,10 +306,6 @@ struct FrontierShared<Op> {
 }
 
 impl<Op> FrontierShared<Op> {
-    fn queues_all_empty(&self) -> bool {
-        self.queues.iter().all(|q| q.lock().is_empty())
-    }
-
     /// Counts one unit of round work and raises the round flag at `quota`.
     fn tick_round(&self, quota: u64) {
         if self.round_work.fetch_add(1, Ordering::SeqCst) + 1 >= quota {
@@ -455,25 +314,156 @@ impl<Op> FrontierShared<Op> {
     }
 }
 
-/// Decrements `busy` even if the expansion panics, so the survivors'
-/// termination detection cannot wedge on a dead worker's stale count.
-struct BusyGuard<'a>(&'a AtomicUsize);
+/// Counts its holder in a fleet counter (`busy`, `idle`) and uncounts it on
+/// drop — also when the worker panics, so the survivors' termination
+/// detection cannot wedge on a dead worker's stale count.
+struct Mark<'a>(&'a AtomicUsize);
 
-impl Drop for BusyGuard<'_> {
+impl<'a> Mark<'a> {
+    fn new(counter: &'a AtomicUsize) -> Self {
+        counter.fetch_add(1, Ordering::SeqCst);
+        Mark(counter)
+    }
+}
+
+impl Drop for Mark<'_> {
     fn drop(&mut self) {
         self.0.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
-/// The worker-index → strategy assignment for a fleet.
-fn resolve_strategies(cfg: &SwarmConfig) -> Vec<WorkerStrategy> {
-    let workers = cfg.workers.max(1);
-    if cfg.strategies.is_empty() {
-        vec![WorkerStrategy::Dfs; workers]
-    } else {
-        (0..workers)
-            .map(|i| cfg.strategies[i % cfg.strategies.len()])
-            .collect()
+/// What a worker out of frames got from the fleet.
+pub(crate) enum Work<Op> {
+    /// A published entry to replay and expand.
+    Entry(FrontierEntry<Op>),
+    /// Nothing yet: other workers are still busy.
+    Wait,
+    /// The whole fleet is out of work.
+    Done,
+}
+
+/// A Dfs/Bfs worker's handle on its fleet: the shared queues, counters and
+/// flags, plus the worker's own busy/idle marks.
+pub(crate) struct Fleet<'a, Op> {
+    shared: &'a FrontierShared<Op>,
+    idx: usize,
+    strategy: WorkerStrategy,
+    quota: u64,
+    ctx: SpillCtx<'a, Op>,
+    busy: Option<Mark<'a>>,
+    idle: Option<Mark<'a>>,
+    idle_spins: u32,
+    /// The worker's op and state counts already added to the fleet totals.
+    synced: (u64, u64),
+}
+
+impl<'a, Op: Clone> Fleet<'a, Op> {
+    fn new(
+        shared: &'a FrontierShared<Op>,
+        idx: usize,
+        strategy: WorkerStrategy,
+        quota: u64,
+        codec: Option<&'a (dyn OpCodec<Op> + Sync)>,
+    ) -> Self {
+        Fleet {
+            shared,
+            idx,
+            strategy,
+            quota,
+            // Queue spill context: page store + codec, present only in
+            // budgeted persistent runs.
+            ctx: match (&shared.frontier_spill, codec) {
+                (Some(fs), Some(c)) => Some((fs, c as &dyn OpCodec<Op>)),
+                _ => None,
+            },
+            busy: None,
+            idle: None,
+            idle_spins: 0,
+            synced: (0, 0),
+        }
+    }
+
+    /// Adds the worker's op and state counts since the last call to the
+    /// fleet-wide totals and returns those (executed ops, discovered
+    /// states), or `None` when the worker must pause: a round ended or the
+    /// fleet stopped.
+    pub(crate) fn totals(&mut self, stats: &ExploreStats) -> Option<(u64, u64)> {
+        let shared = self.shared;
+        let ops = stats.ops_executed - std::mem::replace(&mut self.synced.0, stats.ops_executed);
+        let states = stats.states_new - std::mem::replace(&mut self.synced.1, stats.states_new);
+        let ops = shared.ops_total.fetch_add(ops, Ordering::SeqCst) + ops;
+        let states = shared.states_total.fetch_add(states, Ordering::SeqCst) + states;
+        let paused = shared.stop.load(Ordering::SeqCst) || shared.round_done.load(Ordering::SeqCst);
+        (!paused).then_some((ops, states))
+    }
+
+    /// Counts a fully expanded frame toward the round quota.
+    pub(crate) fn expanded(&self) {
+        self.shared.tick_round(self.quota);
+        // One expansion per scheduling slice: on a single-CPU host this is
+        // what lets idle workers get work before the current worker drains
+        // the whole search itself (virtual-time speedup tracks the work
+        // *split*, so balance matters more than raw wall throughput).
+        std::thread::yield_now();
+    }
+
+    /// Whether more workers are idle than this worker's queue has entries
+    /// for them to steal.
+    pub(crate) fn wants_work(&self) -> bool {
+        let idle = self.shared.idle.load(Ordering::SeqCst);
+        idle > 0 && self.shared.queues[self.idx].lock().len() < idle
+    }
+
+    /// Appends an entry to this worker's queue.
+    pub(crate) fn publish(&self, entry: FrontierEntry<Op>) -> Result<(), String> {
+        self.shared.queues[self.idx]
+            .lock()
+            .push_back(entry, self.ctx)
+    }
+
+    /// Takes an entry from this worker's queue, or steals from another's.
+    pub(crate) fn acquire(&mut self) -> Result<Work<Op>, String> {
+        // Busy is raised *before* popping: an entry in hand always shows as
+        // in-flight work, so idle workers cannot conclude "exhausted" while
+        // this one is about to expand it.
+        let shared = self.shared;
+        self.busy.get_or_insert_with(|| Mark::new(&shared.busy));
+        let popped = {
+            let mut own = shared.queues[self.idx].lock();
+            match self.strategy {
+                WorkerStrategy::Bfs => own.pop_front(self.ctx)?,
+                _ => own.pop_back(self.ctx)?,
+            }
+        };
+        let entry = match popped {
+            Some(e) => Some(e),
+            None => steal(shared, self.idx, self.ctx)?,
+        };
+        if let Some(entry) = entry {
+            self.idle = None;
+            self.idle_spins = 0;
+            return Ok(Work::Entry(entry));
+        }
+        self.busy = None;
+        // The rare losing race here (another worker took the last entry
+        // between our two checks) costs this worker's parallelism, never
+        // coverage: whoever holds work expands it.
+        if shared.busy.load(Ordering::SeqCst) == 0
+            && shared.queues.iter().all(|q| q.lock().is_empty())
+        {
+            return Ok(Work::Done);
+        }
+        self.idle.get_or_insert_with(|| Mark::new(&shared.idle));
+        // Yield first (on a loaded single-CPU host this reschedules the
+        // worker actually holding work); back off to a sleep only after
+        // repeated misses so multi-CPU hosts don't burn a core.
+        self.idle_spins += 1;
+        if self.idle_spins < 64 {
+            std::thread::yield_now();
+        } else {
+            std::thread::sleep(Duration::from_micros(50));
+        }
+        Ok(Work::Wait)
     }
 }
 
@@ -486,7 +476,8 @@ fn walk_seed(base: u64, idx: usize, round: u64, generation: u32) -> u64 {
         .wrapping_add((generation as u64).wrapping_mul(0x85EB_CA6B_0000))
 }
 
-fn run_frontier_swarm<S, F>(
+/// The one fleet runner behind [`run_swarm`] and [`run_swarm_persistent`].
+fn run_fleet<S, F>(
     cfg: &SwarmConfig,
     factory: F,
     persist: Option<SwarmPersist<'_, S::Op>>,
@@ -497,36 +488,51 @@ where
     F: Fn(usize) -> S + Sync,
 {
     let workers = cfg.workers.max(1);
-    let strategies = resolve_strategies(cfg);
-    let visited = match &cfg.base.mem_budget {
-        Some(budget) => match ShardedVisited::with_spill(cfg.base.visited_capacity, budget) {
-            Ok(v) => v,
-            Err(e) => return spill_init_report(workers, &e),
-        },
-        None => ShardedVisited::new(cfg.base.visited_capacity, workers.max(8)),
+    let strategies: Vec<WorkerStrategy> = (0..workers)
+        .map(|i| match cfg.strategies.len() {
+            0 => WorkerStrategy::Walk,
+            n => cfg.strategies[i % n],
+        })
+        .collect();
+    let all_walk = strategies.iter().all(|s| *s == WorkerStrategy::Walk);
+    // One shard per worker (rounded up to a power of two, min 8) keeps
+    // same-shard collisions between workers rare. With a memory budget the
+    // shared set spills cold shards to disk instead.
+    let visited = if cfg.shared_visited || !all_walk || persist.is_some() {
+        Some(match &cfg.base.mem_budget {
+            Some(budget) => match ShardedVisited::with_spill(cfg.base.visited_capacity, budget) {
+                Ok(v) => v,
+                Err(e) => return spill_init_report(workers, &e),
+            },
+            None => ShardedVisited::new(cfg.base.visited_capacity, workers.max(8)),
+        })
+    } else {
+        None
     };
 
-    let mut baseline = ExploreStats::default();
-    let mut generation = 0u32;
-    let mut initial_frontier: Option<Vec<FrontierEntry<S::Op>>> = None;
     let (codec, snapshot_path, snapshot_every) = match &persist {
         Some(p) => (Some(p.codec), p.snapshot_path.clone(), p.snapshot_every),
         None => (None, None, 0),
     };
-    if let Some(p) = persist {
-        if let Some(snap) = p.resume {
-            visited.load_entries(&snap.visited);
-            baseline = snap.stats.clone();
-            generation = snap.generation + 1;
-            initial_frontier = Some(snap.frontier);
-        }
+    // Round quota in frame expansions; one round when nothing is pickled.
+    let quota = match snapshot_path {
+        Some(_) if snapshot_every > 0 => snapshot_every,
+        _ => u64::MAX,
+    };
+    let resume = persist.and_then(|p| p.resume);
+    let (baseline, generation) = match &resume {
+        Some(snap) => (snap.stats.clone(), snap.generation + 1),
+        None => (ExploreStats::default(), 0),
+    };
+    if let (Some(snap), Some(visited)) = (&resume, &visited) {
+        visited.load_entries(&snap.visited);
     }
 
     // Frontier spilling needs both a budget (the hot cap) and a codec (to
     // encode op-prefixes into pages); the queues share the visited set's
     // page store so one spill file serves the whole run.
-    let frontier_spill = match (&cfg.base.mem_budget, codec) {
-        (Some(budget), Some(_)) => visited
+    let frontier_spill = match (&cfg.base.mem_budget, codec, &visited) {
+        (Some(budget), Some(_), Some(visited)) => visited
             .spill_set()
             .map(|s| FrontierSpill::new(s.store().clone(), budget.frontier_hot_bytes)),
         _ => None,
@@ -539,6 +545,7 @@ where
         frontier_spill,
         visited,
         busy: AtomicUsize::new(0),
+        idle: AtomicUsize::new(0),
         stop: AtomicBool::new(false),
         round_done: AtomicBool::new(false),
         round_work: AtomicU64::new(0),
@@ -546,52 +553,40 @@ where
         states_total: AtomicU64::new(baseline.states_new),
     };
 
-    // Seed the frontier: the resumed entries round-robin across frontier
-    // (non-walk) workers, or the single root entry for a fresh run.
-    let frontier_idxs: Vec<usize> = strategies
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| **s != WorkerStrategy::Walk)
-        .map(|(i, _)| i)
+    // Seed the queues: the resumed entries round-robin across Dfs/Bfs
+    // workers, or the root entry for a fresh run. An all-walk fleet parks
+    // resumed entries on queue 0: never expanded, but carried forward into
+    // the next snapshot. Seeding never spills (no I/O to fail here); the
+    // first over-budget worker push drains the excess to pages.
+    let frontier_idxs: Vec<usize> = (0..workers)
+        .filter(|&i| strategies[i] != WorkerStrategy::Walk)
         .collect();
-    match initial_frontier {
-        Some(entries) => {
-            let dealt = deal_frontier(entries, frontier_idxs.len().max(1));
-            for (slot, queue) in dealt.into_iter().enumerate() {
-                // An all-walk fleet parks resumed entries on queue 0: never
-                // expanded, but carried forward into the next snapshot.
-                // Seeding never spills (no I/O to fail here); the first
-                // over-budget worker push drains the excess to pages.
-                let idx = frontier_idxs.get(slot).copied().unwrap_or(0);
-                shared.queues[idx].lock().extend_back(queue.into());
-            }
-        }
-        None => {
-            if let Some(&first) = frontier_idxs.first() {
-                shared.queues[first].lock().extend_back(vec![FrontierEntry {
-                    prefix: Vec::new(),
-                    sleep: Vec::new(),
-                }]);
-            }
-        }
+    let entries = match resume {
+        Some(snap) => snap.frontier,
+        None if all_walk => Vec::new(),
+        None => vec![FrontierEntry {
+            prefix: Vec::new(),
+            sleep: Vec::new(),
+        }],
+    };
+    for (slot, queue) in deal_frontier(entries, frontier_idxs.len())
+        .into_iter()
+        .enumerate()
+    {
+        let idx = frontier_idxs.get(slot).copied().unwrap_or(0);
+        shared.queues[idx].lock().extend_back(queue.into());
     }
 
-    // Per-worker accumulators, merged across snapshot rounds.
-    let mut agg_stats: Vec<ExploreStats> = (0..workers).map(|_| ExploreStats::default()).collect();
+    // Per-worker accumulators, merged across snapshot rounds. A worker
+    // whose stop reason is recorded is done and not re-spawned; `None`
+    // means the round quota interrupted it and it resumes next round.
+    let mut agg_stats = vec![ExploreStats::default(); workers];
     let mut agg_violations: Vec<Vec<Violation<S::Op>>> = (0..workers).map(|_| Vec::new()).collect();
-    let mut last_stop: Vec<Option<StopReason>> = (0..workers).map(|_| None).collect();
-    let mut pending: Vec<bool> = (0..workers).map(|_| true).collect();
+    let mut last_stop: Vec<Option<StopReason>> = vec![None; workers];
     let mut persist_error = None;
-    let mut round = 0u64;
-
-    loop {
+    for round in 0u64.. {
         shared.round_done.store(false, Ordering::SeqCst);
         shared.round_work.store(0, Ordering::SeqCst);
-        let quota = if snapshot_path.is_some() && snapshot_every > 0 {
-            snapshot_every
-        } else {
-            u64::MAX
-        };
 
         // mcfs-lint: allow(MC007, per-worker results land in indexed slots; the merge below is worker-order deterministic)
         std::thread::scope(|scope| {
@@ -601,110 +596,100 @@ where
                 .zip(last_stop.iter_mut())
                 .enumerate()
             {
-                if !pending[idx] {
+                if stop_slot.is_some() {
                     continue;
                 }
                 let shared = &shared;
                 let factory = &factory;
                 let base = &cfg.base;
                 let strategy = strategies[idx];
+                let done_ops = stats_slot.ops_executed;
                 scope.spawn(move || {
-                    let result = catch_unwind(AssertUnwindSafe(|| match strategy {
-                        WorkerStrategy::Walk => run_walk_round::<S, F>(
-                            idx, factory, base, shared, round, generation, quota, stats_slot,
-                            viol_slot,
-                        ),
-                        _ => run_frontier_worker::<S, F>(
-                            idx, factory, base, shared, strategy, quota, codec, stats_slot,
-                            viol_slot,
-                        ),
+                    let result = catch_unwind(AssertUnwindSafe(|| {
+                        let mut sys = factory(idx);
+                        match strategy {
+                            WorkerStrategy::Walk => {
+                                let seed = walk_seed(base.seed, idx, round, generation);
+                                run_walk_round(&mut sys, base, seed, done_ops, shared, quota)
+                            }
+                            _ => {
+                                let fleet = Fleet::new(shared, idx, strategy, quota, codec);
+                                run_frontier_worker(&mut sys, base, fleet)
+                            }
+                        }
                     }));
-                    let outcome = match result {
-                        Ok(reason) => reason,
+                    *stop_slot = match result {
+                        Ok((stop, mut report)) => {
+                            // A shared set's spill counters and peak are
+                            // fleet-wide and surface once (snapshot stats and
+                            // `SwarmReport::spill`); summing per-worker
+                            // copies would overcount.
+                            if shared.visited.is_some() {
+                                report.stats.spill = None;
+                                report.stats.visited_peak_bytes = 0;
+                            }
+                            stats_slot.merge(&report.stats);
+                            viol_slot.extend(report.violations);
+                            stop
+                        }
                         Err(payload) => Some(StopReason::WorkerPanic(panic_message(payload))),
                     };
-                    if let Some(reason) = outcome {
-                        *stop_slot = Some(reason);
-                    }
                 });
             }
         });
-
-        // A worker whose round ended with a terminal reason is not
-        // re-spawned; `None` means the round quota interrupted it mid-search
-        // and it resumes next round.
-        for idx in 0..workers {
-            if pending[idx] && last_stop[idx].is_some() {
-                pending[idx] = false;
-            }
-        }
 
         // Snapshot at the (quiescent) round boundary: the scope joined, so
         // the queues and visited set are a consistent cut of the search.
         // Both big sections stream — visited entries page-by-page through
         // the writer, spilled frontier pages one queue at a time — so the
         // snapshot path never materializes the whole set as a second copy.
-        if let (Some(path), Some(codec)) = (&snapshot_path, codec) {
+        if let (Some(path), Some(codec), Some(visited)) = (&snapshot_path, codec, &shared.visited) {
             let ctx: SpillCtx<'_, S::Op> = shared
                 .frontier_spill
                 .as_ref()
                 .map(|fs| (fs, codec as &dyn OpCodec<S::Op>));
-            let mut frontier = Vec::new();
-            let mut frontier_err: Option<String> = None;
-            for q in &shared.queues {
-                match q.lock().collect_all(ctx) {
-                    Ok(entries) => frontier.extend(entries),
-                    Err(e) => {
-                        frontier_err = Some(e);
-                        break;
-                    }
+            let cut = || -> Result<(), String> {
+                let mut frontier = Vec::new();
+                for q in &shared.queues {
+                    let entries = q.lock().collect_all(ctx);
+                    frontier.extend(entries.map_err(|e| format!("frontier snapshot failed: {e}"))?);
                 }
-            }
-            let mut stats = baseline.clone();
-            for s in &agg_stats {
-                stats.merge(s);
-            }
-            // The shared set's fleet-wide spill counters ride in the
-            // snapshot stats (per-worker stats exclude them — see
-            // `SwarmReport::spill`).
-            if let Some(cur) = shared.visited.spill_stats() {
-                match &mut stats.spill {
-                    Some(b) => b.merge(&cur),
-                    None => stats.spill = Some(cur),
+                let mut stats = baseline.clone();
+                for s in &agg_stats {
+                    stats.merge(s);
                 }
-            }
-            stats.visited_peak_bytes = stats.visited_peak_bytes.max(shared.visited.peak_bytes());
-            let rng: Vec<RngCursor> = (0..workers)
-                .map(|i| RngCursor {
-                    seed: walk_seed(cfg.base.seed, i, round, generation),
-                    draws: agg_stats[i].ops_executed,
-                })
-                .collect();
-            match frontier_err {
-                Some(e) => persist_error = Some(format!("frontier snapshot failed: {e}")),
-                None => {
-                    let mut w =
-                        SnapshotWriter::new(codec, cfg.base.seed, workers as u32, generation);
-                    w.begin_visited(shared.visited.len() as u32);
-                    match shared.visited.stream_entries(|h, d| w.visited_entry(h, d)) {
-                        Ok(()) => {
-                            w.frontier(&frontier);
-                            w.rng(&rng);
-                            let bytes = w.finish(&stats);
-                            if let Err(e) = pickle::save_atomic(path, &bytes) {
-                                persist_error = Some(e.to_string());
-                            }
-                        }
-                        Err(e) => {
-                            persist_error = Some(format!("visited snapshot failed: {e}"));
-                        }
-                    }
-                }
+                // The shared set's fleet-wide spill counters and peak ride
+                // in the snapshot stats (per-worker stats exclude them —
+                // see `SwarmReport::spill`).
+                stats.merge(&ExploreStats {
+                    spill: visited.spill_stats(),
+                    visited_peak_bytes: visited.peak_bytes(),
+                    ..ExploreStats::default()
+                });
+                let rng: Vec<RngCursor> = (0..workers)
+                    .map(|i| RngCursor {
+                        seed: walk_seed(cfg.base.seed, i, round, generation),
+                        draws: agg_stats[i].ops_executed,
+                    })
+                    .collect();
+                let mut w = SnapshotWriter::new(codec, cfg.base.seed, workers as u32, generation);
+                w.begin_visited(visited.len() as u32);
+                visited
+                    .stream_entries(|h, d| w.visited_entry(h, d))
+                    .map_err(|e| format!("visited snapshot failed: {e}"))?;
+                w.frontier(&frontier);
+                w.rng(&rng);
+                pickle::save_atomic(path, &w.finish(&stats)).map_err(|e| e.to_string())
+            };
+            if let Err(e) = cut() {
+                persist_error = Some(e);
             }
         }
 
-        round += 1;
-        if shared.stop.load(Ordering::SeqCst) || pending.iter().all(|p| !p) || quota == u64::MAX {
+        if shared.stop.load(Ordering::SeqCst)
+            || last_stop.iter().all(Option::is_some)
+            || quota == u64::MAX
+        {
             break;
         }
     }
@@ -720,375 +705,83 @@ where
                 stop: stop.unwrap_or(StopReason::Exhausted),
             })
             .collect(),
-        distinct_states: Some(shared.visited.len() as u64),
+        distinct_states: shared.visited.as_ref().map(|v| v.len() as u64),
         baseline,
         persist_error,
-        spill: shared.visited.spill_stats(),
-        visited_peak_bytes: shared.visited.peak_bytes(),
+        spill: shared.visited.as_ref().and_then(|v| v.spill_stats()),
+        visited_peak_bytes: shared.visited.as_ref().map_or(0, |v| v.peak_bytes()),
     }
 }
 
 /// One round of a walk worker: a seed-diversified random walk over the
-/// shared visited set, drained early if the round quota or stop flag rises.
-#[allow(clippy::too_many_arguments)]
-fn run_walk_round<S, F>(
-    idx: usize,
-    factory: &F,
+/// fleet's visited set (or a private one), drained early if the round quota
+/// or stop flag rises. `done_ops` counts the ops of its earlier rounds.
+fn run_walk_round<S: ModelSystem>(
+    sys: &mut S,
     base: &ExploreConfig,
+    seed: u64,
+    done_ops: u64,
     shared: &FrontierShared<S::Op>,
-    round: u64,
-    generation: u32,
     quota: u64,
-    stats_slot: &mut ExploreStats,
-    viol_slot: &mut Vec<Violation<S::Op>>,
-) -> Option<StopReason>
-where
-    S: ModelSystem,
-    F: Fn(usize) -> S + Sync,
-{
-    let mut worker_cfg = base.clone();
-    worker_cfg.seed = walk_seed(base.seed, idx, round, generation);
+) -> (Option<StopReason>, ExploreReport<S::Op>) {
     // Per-worker op budget, minus what this worker's earlier rounds used.
-    worker_cfg.max_ops = base.max_ops.saturating_sub(stats_slot.ops_executed);
-    if worker_cfg.max_ops == 0 {
-        return Some(StopReason::OpBudget);
-    }
-    let mut sys = RoundStoppable {
-        inner: factory(idx),
-        stop: &shared.stop,
-        round_done: &shared.round_done,
+    let walk = RandomWalk::new(ExploreConfig {
+        seed,
+        max_ops: base.max_ops.saturating_sub(done_ops),
+        ..base.clone()
+    });
+    let tick = |_: &ExploreStats| shared.tick_round(quota);
+    // The walk drains (ends as exhausted) once the fleet stops or the round
+    // ends, so walk workers park for a consistent fleet snapshot.
+    let halt = || shared.stop.load(Ordering::Relaxed) || shared.round_done.load(Ordering::Relaxed);
+    let report = match shared.visited.clone() {
+        Some(mut visited) => walk.walk(sys, &mut visited, tick, &halt),
+        None => with_default_visited(base, |visited| walk.walk(sys, visited, tick, &halt)),
     };
-    let mut visited = shared.visited.clone();
-    let walk = RandomWalk::new(worker_cfg);
-    let mut report = walk.run_resumable(&mut sys, &mut visited, |_| shared.tick_round(quota));
-    let drained_by_round = shared.round_done.load(Ordering::SeqCst);
-    // Shared-set spill counters surface fleet-wide (snapshot stats and
-    // `SwarmReport::spill`), not per worker.
-    report.stats.spill = None;
-    report.stats.visited_peak_bytes = 0;
-    stats_slot.merge(&report.stats);
-    viol_slot.extend(report.violations);
-    match report.stop {
+    let stop = match &report.stop {
         StopReason::Violation => {
             shared.stop.store(true, Ordering::SeqCst);
             Some(StopReason::Violation)
         }
         // Drained at the round boundary: the walk has budget left, resume
         // it next round (with a fresh derived seed).
-        StopReason::Exhausted if drained_by_round => None,
-        other => Some(other),
-    }
+        StopReason::Exhausted if shared.round_done.load(Ordering::SeqCst) => None,
+        other => Some(other.clone()),
+    };
+    (stop, report)
 }
 
-/// A frontier (Dfs/Bfs) worker's round: pop-or-steal entries and expand
-/// them against the shared visited set until the frontier is exhausted, a
-/// budget trips, or the round quota pauses the fleet.
+/// A Dfs/Bfs worker's round: the frame engine over the shared visited set,
+/// taking published work when its own frames run out, until the search is
+/// exhausted, a budget trips, or the round quota pauses the fleet.
 ///
-/// Returns `Some(reason)` when the worker is done for good, `None` when the
-/// round quota (or a fleet stop raised elsewhere) interrupted it.
-#[allow(clippy::too_many_arguments)]
-fn run_frontier_worker<S, F>(
-    idx: usize,
-    factory: &F,
+/// The stop reason is `Some` when the worker is done for good, `None` when
+/// the round quota (or a fleet stop raised elsewhere) interrupted it.
+fn run_frontier_worker<S: ModelSystem>(
+    sys: &mut S,
     cfg: &ExploreConfig,
-    shared: &FrontierShared<S::Op>,
-    strategy: WorkerStrategy,
-    quota: u64,
-    codec: Option<&(dyn OpCodec<S::Op> + Sync)>,
-    stats: &mut ExploreStats,
-    viols: &mut Vec<Violation<S::Op>>,
-) -> Option<StopReason>
-where
-    S: ModelSystem,
-    F: Fn(usize) -> S + Sync,
-{
-    // Queue spill context: page store + codec, present only in budgeted
-    // persistent runs (both live for the whole scope, so one binding
-    // serves every queue operation below).
-    let ctx: SpillCtx<'_, S::Op> = match (&shared.frontier_spill, codec) {
-        (Some(fs), Some(c)) => Some((fs, c as &dyn OpCodec<S::Op>)),
-        _ => None,
-    };
-    // A spill failure anywhere poisons the store: stop the fleet loudly so
-    // no worker keeps searching over a silently shrunken frontier/visited
-    // set (the error message carries the replayable cause).
-    let spill_fatal = |what: &str, e: String| {
+    mut fleet: Fleet<'_, S::Op>,
+) -> (Option<StopReason>, ExploreReport<S::Op>) {
+    let shared = fleet.shared;
+    let mut visited = shared
+        .visited
+        .clone()
+        .expect("Dfs/Bfs fleets share the visited set");
+    let (stop, report) = search(
+        cfg,
+        None,
+        fleet.strategy,
+        sys,
+        &mut visited,
+        Some(&mut fleet),
+    );
+    // Any terminal reason but exhaustion (which every worker reaches
+    // together) stops the fleet: budgets are fleet-wide, and a worker that
+    // failed leaves part of the search unexplored.
+    if matches!(&stop, Some(reason) if *reason != StopReason::Exhausted) {
         shared.stop.store(true, Ordering::SeqCst);
-        Some(StopReason::Fatal(format!("{what} spill failed: {e}")))
-    };
-    let mut sys = factory(idx);
-    let root = StateId(0);
-    let mut next_id = 1u64;
-    if let Err(e) = sys.checkpoint(root) {
-        return Some(StopReason::Fatal(e));
     }
-    // The root is every replay's fallback: pinned so the budgeted store can
-    // never evict it.
-    sys.pin(root);
-    stats.checkpoints += 1;
-    // Every worker fingerprints the root, but only the fleet-wide first
-    // insert counts it as a discovered state (resumed runs re-match it).
-    let root_hash = sys.abstract_state();
-    if shared.visited.insert_at(root_hash, 0).0 == Visit::New {
-        stats.states_new += 1;
-        shared.states_total.fetch_add(1, Ordering::SeqCst);
-    }
-    if let Some(e) = shared.visited.error() {
-        return spill_fatal("visited", e);
-    }
-
-    // Replay cache: op-prefix → concrete checkpoint, so expanding a child
-    // of a recently expanded state replays one op, not the whole prefix.
-    let mut cache: VecDeque<(Vec<S::Op>, StateId)> = VecDeque::new();
-    let mut idle_spins = 0u32;
-
-    'entries: loop {
-        if shared.stop.load(Ordering::SeqCst) || shared.round_done.load(Ordering::SeqCst) {
-            return None;
-        }
-        if shared.ops_total.load(Ordering::SeqCst) >= cfg.max_ops {
-            shared.stop.store(true, Ordering::SeqCst);
-            return Some(StopReason::OpBudget);
-        }
-        if shared.states_total.load(Ordering::SeqCst) >= cfg.max_states {
-            shared.stop.store(true, Ordering::SeqCst);
-            return Some(StopReason::StateBudget);
-        }
-
-        // Busy is raised *before* popping: an entry in hand always shows as
-        // in-flight work, so idle workers cannot conclude "exhausted" while
-        // children are still coming.
-        shared.busy.fetch_add(1, Ordering::SeqCst);
-        let guard = BusyGuard(&shared.busy);
-        let popped = {
-            let mut own = shared.queues[idx].lock();
-            match strategy {
-                WorkerStrategy::Bfs => own.pop_front(ctx),
-                _ => own.pop_back(ctx),
-            }
-        };
-        let entry = match popped {
-            Ok(Some(e)) => Some(e),
-            Ok(None) => match steal(shared, idx, ctx) {
-                Ok(e) => e,
-                Err(e) => return spill_fatal("frontier", e),
-            },
-            Err(e) => return spill_fatal("frontier", e),
-        };
-        let Some(entry) = entry else {
-            drop(guard);
-            // The rare losing race here (another worker popped the last
-            // entry between our two checks) costs this worker's
-            // parallelism, never coverage: whoever holds an entry drains
-            // its own children.
-            if shared.busy.load(Ordering::SeqCst) == 0 && shared.queues_all_empty() {
-                return Some(StopReason::Exhausted);
-            }
-            // Yield first (on a loaded single-CPU host this reschedules the
-            // worker actually holding work); back off to a sleep only after
-            // repeated misses so multi-CPU hosts don't burn a core.
-            idle_spins += 1;
-            if idle_spins < 64 {
-                std::thread::yield_now();
-            } else {
-                std::thread::sleep(Duration::from_micros(50));
-            }
-            continue;
-        };
-        idle_spins = 0;
-
-        // --- Position the system at the entry's state: restore the longest
-        // cached prefix, then deterministically replay the rest.
-        let mut replay_from = 0usize;
-        loop {
-            let mut best: Option<(usize, usize)> = None; // (cache idx, prefix len)
-            for (ci, (p, _)) in cache.iter().enumerate() {
-                if p.len() > best.map_or(0, |(_, l)| l)
-                    && p.len() <= entry.prefix.len()
-                    && entry.prefix.starts_with(p)
-                {
-                    best = Some((ci, p.len()));
-                }
-            }
-            match best {
-                Some((ci, plen)) => {
-                    let id = cache[ci].1;
-                    match sys.restore(id) {
-                        Ok(()) => {
-                            stats.restores += 1;
-                            replay_from = plen;
-                            break;
-                        }
-                        Err(e) if is_evicted_error(&e) => {
-                            // The cached checkpoint aged out of the budgeted
-                            // store: forget it, fall back to a shorter one.
-                            cache.remove(ci);
-                            continue;
-                        }
-                        Err(e) => return Some(StopReason::Fatal(e)),
-                    }
-                }
-                None => match sys.restore(root) {
-                    Ok(()) => {
-                        stats.restores += 1;
-                        break;
-                    }
-                    Err(e) => return Some(restore_failure(e)),
-                },
-            }
-        }
-        for (i, op) in entry.prefix.iter().enumerate().skip(replay_from) {
-            match sys.apply(op) {
-                ApplyOutcome::Ok => stats.ops_replayed += 1,
-                ApplyOutcome::Prune(_) => {
-                    // A prefix that replayed cleanly when discovered cannot
-                    // prune under deterministic replay; treat it as a stale
-                    // entry and drop it rather than poison the run.
-                    stats.pruned += 1;
-                    shared.tick_round(quota);
-                    continue 'entries;
-                }
-                ApplyOutcome::Violation(message) => {
-                    let trace = entry.prefix[..=i].to_vec();
-                    viols.push(record_violation(
-                        &mut sys,
-                        trace,
-                        message,
-                        stats.ops_executed,
-                    ));
-                    if cfg.stop_on_violation {
-                        shared.stop.store(true, Ordering::SeqCst);
-                        return Some(StopReason::Violation);
-                    }
-                    shared.tick_round(quota);
-                    continue 'entries;
-                }
-            }
-        }
-
-        // --- Checkpoint the entry state (restored once per sibling op
-        // below) and cache it for this worker's future replays.
-        let ent_id = StateId(next_id);
-        next_id += 1;
-        if let Err(e) = sys.checkpoint(ent_id) {
-            return Some(StopReason::Fatal(e));
-        }
-        sys.pin(ent_id);
-        stats.checkpoints += 1;
-        cache.push_back((entry.prefix.clone(), ent_id));
-        if cache.len() > PREFIX_CACHE_CAP {
-            if let Some((_, old)) = cache.pop_front() {
-                sys.release(old);
-            }
-        }
-
-        // --- Expand: apply every enabled op, fingerprint, push new states.
-        let depth = entry.prefix.len();
-        let ops = sys.ops();
-        let ops = crate::explore::persistent_filter(cfg, &mut sys, ops, &mut stats.pruned);
-        let mut at_entry = true;
-        for (i, op) in ops.iter().enumerate() {
-            if cfg.por && entry.sleep.contains(op) {
-                stats.pruned += 1;
-                continue;
-            }
-            if !at_entry {
-                if let Err(e) = sys.restore(ent_id) {
-                    // ent_id is pinned for the whole expansion; any failure
-                    // is genuine.
-                    sys.unpin(ent_id);
-                    return Some(restore_failure(e));
-                }
-                stats.restores += 1;
-            }
-            at_entry = false;
-            let outcome = sys.apply(op);
-            stats.ops_executed += 1;
-            shared.ops_total.fetch_add(1, Ordering::SeqCst);
-            match outcome {
-                ApplyOutcome::Ok => {}
-                ApplyOutcome::Prune(_) => {
-                    stats.pruned += 1;
-                    continue;
-                }
-                ApplyOutcome::Violation(message) => {
-                    let mut trace = entry.prefix.clone();
-                    trace.push(op.clone());
-                    viols.push(record_violation(
-                        &mut sys,
-                        trace,
-                        message,
-                        stats.ops_executed,
-                    ));
-                    if cfg.stop_on_violation {
-                        shared.stop.store(true, Ordering::SeqCst);
-                        sys.unpin(ent_id);
-                        return Some(StopReason::Violation);
-                    }
-                    continue;
-                }
-            }
-            let h = sys.abstract_state();
-            let (visit, resize) = shared.visited.insert_at(h, depth as u32 + 1);
-            if resize.is_some() {
-                stats.resize_events += 1;
-            }
-            if let Some(e) = shared.visited.error() {
-                sys.unpin(ent_id);
-                return spill_fatal("visited", e);
-            }
-            match visit {
-                Visit::Matched => {
-                    stats.states_matched += 1;
-                    continue;
-                }
-                Visit::New => {
-                    stats.states_new += 1;
-                    shared.states_total.fetch_add(1, Ordering::SeqCst);
-                }
-                // Shallower: a known state reached closer to the root must
-                // be re-expanded or depth-bounded coverage would depend on
-                // which worker got there first.
-                Visit::Shallower => {}
-            }
-            stats.max_depth_seen = stats.max_depth_seen.max(depth + 1);
-            if depth + 1 < cfg.max_depth {
-                let sleep = if cfg.por {
-                    let mut s: Vec<S::Op> = entry
-                        .sleep
-                        .iter()
-                        .filter(|x| sys.independent(x, op))
-                        .cloned()
-                        .collect();
-                    for prev in &ops[..i] {
-                        if sys.independent(prev, op) && !s.contains(prev) {
-                            s.push(prev.clone());
-                        }
-                    }
-                    s
-                } else {
-                    Vec::new()
-                };
-                let mut prefix = entry.prefix.clone();
-                prefix.push(op.clone());
-                let pushed = shared.queues[idx]
-                    .lock()
-                    .push_back(FrontierEntry { prefix, sleep }, ctx);
-                if let Err(e) = pushed {
-                    sys.unpin(ent_id);
-                    return spill_fatal("frontier", e);
-                }
-            }
-        }
-        sys.unpin(ent_id);
-        drop(guard);
-        shared.tick_round(quota);
-        // One expansion per scheduling slice: on a single-CPU host this is
-        // what lets idle workers steal before the current worker drains the
-        // whole frontier itself (virtual-time speedup tracks the work
-        // *split*, so balance matters more than raw wall throughput).
-        std::thread::yield_now();
-    }
+    (stop, report)
 }
 
 /// Steals roughly half of the first non-empty victim queue (from its front
@@ -1125,107 +818,3 @@ fn steal<Op: Clone>(
     }
     Ok(None)
 }
-
-// ---------------------------------------------------------------------------
-// Stop-flag system wrappers
-// ---------------------------------------------------------------------------
-
-/// Wrapper that reports no enabled operations once the shared stop flag is
-/// raised, draining the remaining workers quickly.
-struct Stoppable<'a, S> {
-    inner: S,
-    stop: &'a AtomicBool,
-}
-
-impl<S> Stoppable<'_, S> {
-    fn drained(&self) -> bool {
-        self.stop.load(Ordering::Relaxed)
-    }
-}
-
-/// Like [`Stoppable`], but also drains at a snapshot round boundary so walk
-/// workers park for a consistent fleet snapshot.
-struct RoundStoppable<'a, S> {
-    inner: S,
-    stop: &'a AtomicBool,
-    round_done: &'a AtomicBool,
-}
-
-impl<S> RoundStoppable<'_, S> {
-    fn drained(&self) -> bool {
-        self.stop.load(Ordering::Relaxed) || self.round_done.load(Ordering::Relaxed)
-    }
-}
-
-macro_rules! delegate_system {
-    ($ty:ident) => {
-        impl<S: ModelSystem> ModelSystem for $ty<'_, S> {
-            type Op = S::Op;
-
-            fn ops(&mut self) -> Vec<Self::Op> {
-                if self.drained() {
-                    // No ops and an empty restart set terminates the walk
-                    // via its op budget; force it sooner by returning
-                    // nothing forever.
-                    return Vec::new();
-                }
-                self.inner.ops()
-            }
-
-            fn apply(&mut self, op: &Self::Op) -> crate::system::ApplyOutcome {
-                self.inner.apply(op)
-            }
-
-            fn abstract_state(&mut self) -> u128 {
-                self.inner.abstract_state()
-            }
-
-            fn checkpoint(&mut self, id: crate::system::StateId) -> Result<usize, String> {
-                self.inner.checkpoint(id)
-            }
-
-            fn restore(&mut self, id: crate::system::StateId) -> Result<(), String> {
-                self.inner.restore(id)
-            }
-
-            fn release(&mut self, id: crate::system::StateId) {
-                self.inner.release(id)
-            }
-
-            fn pin(&mut self, id: crate::system::StateId) {
-                self.inner.pin(id)
-            }
-
-            fn unpin(&mut self, id: crate::system::StateId) {
-                self.inner.unpin(id)
-            }
-
-            fn checkpoint_store_stats(&self) -> Option<crate::system::CheckpointStoreStats> {
-                self.inner.checkpoint_store_stats()
-            }
-
-            fn crash_stats(&self) -> Option<crate::system::CrashStats> {
-                self.inner.crash_stats()
-            }
-
-            fn independent(&self, a: &Self::Op, b: &Self::Op) -> bool {
-                self.inner.independent(a, b)
-            }
-
-            fn minimize(
-                &mut self,
-                trace: &[Self::Op],
-                message: &str,
-            ) -> Option<(Vec<Self::Op>, crate::ShrinkStats)> {
-                self.inner.minimize(trace, message)
-            }
-
-            fn minimize_unavailable(&self) -> Option<&'static str> {
-                self.inner.minimize_unavailable()
-            }
-        }
-    };
-}
-
-delegate_system!(Stoppable);
-delegate_system!(RoundStoppable);

@@ -3,7 +3,7 @@
 # the matching "==== <bin> ====" block of experiments_output.txt. Exits
 # non-zero on the first difference, printing it as a unified diff.
 #
-#   scripts/check_experiments_output.sh fig2 remount_ablation
+#   scripts/check_experiments_output.sh fig2 remount_ablation bug_detection
 set -euo pipefail
 cd "$(dirname "$0")/.."
 [ "$#" -gt 0 ] || { echo "usage: $0 <bin>..." >&2; exit 2; }

@@ -14,8 +14,9 @@ use mcfs::{
     RemountTarget,
 };
 use modelcheck::{
-    decode_snapshot, encode_snapshot, load_snapshot, run_swarm_persistent, ExploreConfig,
-    FrontierEntry, OpCodec, RunSnapshot, SwarmConfig, SwarmPersist, SwarmReport, WorkerStrategy,
+    decode_snapshot, encode_snapshot, load_snapshot, run_swarm_persistent, DfsExplorer,
+    ExploreConfig, FrontierEntry, OpCodec, RunSnapshot, ShardedVisited, SwarmConfig, SwarmPersist,
+    SwarmReport, WorkerStrategy,
 };
 use proptest::prelude::*;
 use verifs::VeriFs;
@@ -317,4 +318,69 @@ fn kill_and_resume_matches_uninterrupted_verifs() {
 #[test]
 fn kill_and_resume_matches_uninterrupted_ext() {
     check_kill_and_resume(ext_harness, "resume-ext");
+}
+
+// ---------------------------------------------------------------------------
+// A one-worker fleet is the sequential DFS
+// ---------------------------------------------------------------------------
+
+/// A one-worker Dfs fleet and `DfsExplorer` run the same search on the
+/// VeriFS pairing, op for op: identical counters, violations, and visited
+/// sets, with POR on and off and under an op budget that stops mid-search.
+#[test]
+fn one_worker_fleet_matches_dfs_explorer_verifs() {
+    for max_ops in [u64::MAX, 150] {
+        for por in [false, true] {
+            let name = format!("dfs-eq-{max_ops}-{por}");
+            let base = ExploreConfig {
+                max_depth: 3,
+                max_ops,
+                por,
+                ..ExploreConfig::default()
+            };
+            let mut visited = ShardedVisited::new(base.visited_capacity, 8);
+            let dfs = DfsExplorer::new(base.clone())
+                .run_with_visited(&mut verifs_harness(0), &mut visited);
+
+            let path = snap_path(&name);
+            let fleet = run_swarm_persistent(
+                &SwarmConfig {
+                    workers: 1,
+                    base,
+                    shared_visited: true,
+                    strategies: vec![WorkerStrategy::Dfs],
+                },
+                verifs_harness,
+                SwarmPersist {
+                    codec: &FsOpCodec,
+                    snapshot_path: Some(path.clone()),
+                    snapshot_every: 0,
+                    resume: None,
+                },
+            );
+            let snap = load_snapshot(&path, &FsOpCodec).expect("snapshot loads");
+            let _ = std::fs::remove_file(&path);
+
+            let (w, d) = (&fleet.workers[0], &dfs);
+            assert_eq!(w.stop, d.stop, "{name}");
+            let counters = |s: &modelcheck::ExploreStats| {
+                (
+                    s.ops_executed,
+                    s.ops_replayed,
+                    (s.states_new, s.states_matched, s.pruned),
+                    (s.checkpoints, s.restores, s.max_depth_seen),
+                )
+            };
+            assert_eq!(counters(&w.stats), counters(&d.stats), "{name}");
+            let traces = |r: &modelcheck::ExploreReport<FsOp>| -> Vec<Vec<FsOp>> {
+                r.violations.iter().map(|v| v.trace.clone()).collect()
+            };
+            assert_eq!(traces(w), traces(d), "{name}");
+            assert_eq!(snap.visited, visited.export_entries(), "{name}");
+            if max_ops != u64::MAX {
+                assert_eq!(w.stop, modelcheck::StopReason::OpBudget, "{name}");
+                assert!(!snap.frontier.is_empty(), "{name}: budget cut mid-search");
+            }
+        }
+    }
 }
