@@ -370,19 +370,17 @@ fn probe_suite(ops: &[FsOp]) -> Vec<FsOp> {
     let mut probes = Vec::new();
     for f in &files {
         probes.push(FsOp::WriteFile {
-            path: (*f).to_string(),
+            path: (*f).into(),
             offset: 30,
             size: 4,
             seed: 7,
         });
         probes.push(FsOp::ReadFile {
-            path: (*f).to_string(),
+            path: (*f).into(),
             offset: 0,
             size: 64,
         });
-        probes.push(FsOp::Stat {
-            path: (*f).to_string(),
-        });
+        probes.push(FsOp::Stat { path: (*f).into() });
     }
     probes.push(FsOp::Getdents { path: "/".into() });
     probes

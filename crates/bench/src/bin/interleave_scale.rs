@@ -110,7 +110,7 @@ fn disjoint_programs(threads: usize, ops_per_thread: usize) -> Vec<Vec<FsOp>> {
                 prog.push(op_write(&path, t as u8 + 1));
             }
             if ops_per_thread > 2 {
-                prog.push(FsOp::Stat { path });
+                prog.push(FsOp::Stat { path: path.into() });
             }
             prog
         })

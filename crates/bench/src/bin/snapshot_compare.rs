@@ -19,8 +19,9 @@
 //!    over the same tree. Logical bytes are what 50 deep clones would hold;
 //!    resident bytes are what the structural-sharing pool actually holds.
 //!
-//! Everything is emitted as JSON on stdout (after the human-readable table)
-//! and written to `BENCH_snapshot.json`.
+//! Stdout carries only the strategy table, which is deterministic (CI diffs
+//! it against `experiments_output.txt`); everything, wall-clock figures
+//! included, is written as JSON to `BENCH_snapshot.json`.
 //!
 //! Usage: `cargo run --release -p mcfs-bench --bin snapshot_compare [ops] [--quick]`
 //!
@@ -329,7 +330,6 @@ fn main() {
         resident = spine.resident_bytes,
         reduction = spine.reduction,
     );
-    println!("\n{json}");
     std::fs::write("BENCH_snapshot.json", format!("{json}\n")).expect("write BENCH_snapshot.json");
 
     assert!(

@@ -252,8 +252,12 @@ impl EffectProfile {
         }
         for op in ops {
             if let FsOp::Hardlink { src, dst } = op {
-                parent.entry(src.clone()).or_insert_with(|| src.clone());
-                parent.entry(dst.clone()).or_insert_with(|| dst.clone());
+                parent
+                    .entry(src.to_string())
+                    .or_insert_with(|| src.to_string());
+                parent
+                    .entry(dst.to_string())
+                    .or_insert_with(|| dst.to_string());
                 let rs = find(&parent, src);
                 let rd = find(&parent, dst);
                 if rs != rd {
@@ -314,9 +318,9 @@ pub fn signature(op: &FsOp, prof: &EffectProfile) -> EffectSig {
             // `creat` is EEXIST-on-existing in every backend: it never
             // truncates, so there is no content footprint.
             sig.resolve(path);
-            sig.read(Place::Node(path.clone()));
+            sig.read(Place::Node(path.to_string()));
             let tag = tag64("creat", &[*mode as u64]);
-            sig.write_exact(Place::Node(path.clone()), Some(tag));
+            sig.write_exact(Place::Node(path.to_string()), Some(tag));
             sig.write_entry(path, Some(tag));
         }
         FsOp::WriteFile {
@@ -326,13 +330,13 @@ pub fn signature(op: &FsOp, prof: &EffectProfile) -> EffectSig {
             seed,
         } => {
             sig.resolve(path);
-            sig.read(Place::Node(path.clone()));
+            sig.read(Place::Node(path.to_string()));
             if *size > 0 {
                 let c = prof.alias_class(path);
                 // Size is a high-water mark: extending writes merge.
-                sig.write_merge(Place::Size(c, path.clone()));
+                sig.write_merge(Place::Size(c, path.to_string()));
                 sig.write_exact(
-                    Place::Range(c, path.clone(), *offset, offset.saturating_add(*size)),
+                    Place::Range(c, path.to_string(), *offset, offset.saturating_add(*size)),
                     Some(tag64("write", &[*offset, *size, *seed as u64])),
                 );
             }
@@ -341,137 +345,140 @@ pub fn signature(op: &FsOp, prof: &EffectProfile) -> EffectSig {
         }
         FsOp::Truncate { path, size } => {
             sig.resolve(path);
-            sig.read(Place::Node(path.clone()));
+            sig.read(Place::Node(path.to_string()));
             let c = prof.alias_class(path);
-            sig.write_exact(Place::Size(c, path.clone()), Some(tag64("trunc", &[*size])));
+            sig.write_exact(
+                Place::Size(c, path.to_string()),
+                Some(tag64("trunc", &[*size])),
+            );
             // Truncation rewrites all content (zero-extends or discards).
             sig.write_exact(
-                Place::Range(c, path.clone(), 0, u64::MAX),
+                Place::Range(c, path.to_string(), 0, u64::MAX),
                 Some(tag64("trunc", &[*size])),
             );
         }
         FsOp::Mkdir { path, mode } => {
             sig.resolve(path);
-            sig.read(Place::Node(path.clone()));
+            sig.read(Place::Node(path.to_string()));
             // Distinct label from `creat`: create-then-mkdir leaves a file,
             // mkdir-then-create leaves a directory.
             let tag = tag64("mkdir", &[*mode as u64]);
-            sig.write_exact(Place::Node(path.clone()), Some(tag));
+            sig.write_exact(Place::Node(path.to_string()), Some(tag));
             sig.write_entry(path, Some(tag));
         }
         FsOp::Rmdir { path } => {
             sig.resolve(path);
-            sig.read(Place::Node(path.clone()));
+            sig.read(Place::Node(path.to_string()));
             // Success depends on emptiness: reads the whole listing.
-            sig.read(Place::Entries(path.clone()));
-            sig.write_exact(Place::Node(path.clone()), None);
+            sig.read(Place::Entries(path.to_string()));
+            sig.write_exact(Place::Node(path.to_string()), None);
             sig.write_entry(path, None);
         }
         FsOp::Unlink { path } => {
             sig.resolve(path);
-            sig.read(Place::Node(path.clone()));
-            sig.write_exact(Place::Node(path.clone()), None);
+            sig.read(Place::Node(path.to_string()));
+            sig.write_exact(Place::Node(path.to_string()), None);
             sig.write_entry(path, None);
             // The inode's link count drops by one — a commutative delta
             // shared with aliased paths.
-            sig.write_merge(Place::Links(prof.alias_class(path), path.clone()));
+            sig.write_merge(Place::Links(prof.alias_class(path), path.to_string()));
         }
         FsOp::Rename { src, dst } => {
             sig.resolve(src);
             sig.resolve(dst);
-            sig.read(Place::Node(src.clone()));
-            sig.read(Place::Node(dst.clone()));
+            sig.read(Place::Node(src.to_string()));
+            sig.read(Place::Node(dst.to_string()));
             // rename-over-directory requires the target empty.
-            sig.read(Place::Entries(dst.clone()));
+            sig.read(Place::Entries(dst.to_string()));
             // Whole subtrees move: everything under either path changes
             // identity.
-            sig.write_exact(Place::Subtree(src.clone()), None);
-            sig.write_exact(Place::Subtree(dst.clone()), None);
+            sig.write_exact(Place::Subtree(src.to_string()), None);
+            sig.write_exact(Place::Subtree(dst.to_string()), None);
             sig.write_entry(src, None);
             sig.write_entry(dst, None);
         }
         FsOp::Hardlink { src, dst } => {
             sig.resolve(src);
             sig.resolve(dst);
-            sig.read(Place::Node(src.clone()));
-            sig.read(Place::Node(dst.clone()));
+            sig.read(Place::Node(src.to_string()));
+            sig.read(Place::Node(dst.to_string()));
             let tag = tag64("link", &[fnv1a64(src.as_bytes())]);
-            sig.write_exact(Place::Node(dst.clone()), Some(tag));
+            sig.write_exact(Place::Node(dst.to_string()), Some(tag));
             sig.write_entry(dst, Some(tag));
-            sig.write_merge(Place::Links(prof.alias_class(src), src.clone()));
+            sig.write_merge(Place::Links(prof.alias_class(src), src.to_string()));
         }
         FsOp::Symlink { target, linkpath } => {
             // The target is stored verbatim and never resolved (lstat
             // semantics): only the link path is touched.
             sig.resolve(linkpath);
-            sig.read(Place::Node(linkpath.clone()));
+            sig.read(Place::Node(linkpath.to_string()));
             let tag = tag64("symlink", &[fnv1a64(target.as_bytes())]);
-            sig.write_exact(Place::Node(linkpath.clone()), Some(tag));
+            sig.write_exact(Place::Node(linkpath.to_string()), Some(tag));
             sig.write_entry(linkpath, Some(tag));
         }
         FsOp::ReadFile { path, offset, size } => {
             sig.resolve(path);
-            sig.read(Place::Node(path.clone()));
+            sig.read(Place::Node(path.to_string()));
             let c = prof.alias_class(path);
-            sig.read(Place::Size(c, path.clone()));
+            sig.read(Place::Size(c, path.to_string()));
             if *size > 0 {
                 sig.read(Place::Range(
                     c,
-                    path.clone(),
+                    path.to_string(),
                     *offset,
                     offset.saturating_add(*size),
                 ));
             }
             if prof.atime_in_abstraction {
-                sig.write_exact(Place::Meta(c, path.clone()), None);
+                sig.write_exact(Place::Meta(c, path.to_string()), None);
             }
         }
         FsOp::Stat { path } => {
             sig.resolve(path);
-            sig.read(Place::Node(path.clone()));
+            sig.read(Place::Node(path.to_string()));
             let c = prof.alias_class(path);
-            sig.read(Place::Meta(c, path.clone()));
-            sig.read(Place::Size(c, path.clone()));
-            sig.read(Place::Links(c, path.clone()));
+            sig.read(Place::Meta(c, path.to_string()));
+            sig.read(Place::Size(c, path.to_string()));
+            sig.read(Place::Links(c, path.to_string()));
         }
         FsOp::Getdents { path } => {
             sig.resolve(path);
-            sig.read(Place::Node(path.clone()));
-            sig.read(Place::Entries(path.clone()));
+            sig.read(Place::Node(path.to_string()));
+            sig.read(Place::Entries(path.to_string()));
             if prof.atime_in_abstraction {
-                sig.write_exact(Place::Meta(prof.alias_class(path), path.clone()), None);
+                sig.write_exact(Place::Meta(prof.alias_class(path), path.to_string()), None);
             }
         }
         FsOp::Chmod { path, mode } => {
             sig.resolve(path);
-            sig.read(Place::Node(path.clone()));
+            sig.read(Place::Node(path.to_string()));
             sig.write_exact(
-                Place::Meta(prof.alias_class(path), path.clone()),
+                Place::Meta(prof.alias_class(path), path.to_string()),
                 Some(tag64("chmod", &[*mode as u64])),
             );
         }
         FsOp::SetXattr { path, name, seed } => {
             sig.resolve(path);
-            sig.read(Place::Node(path.clone()));
+            sig.read(Place::Node(path.to_string()));
             sig.write_exact(
-                Place::Xattr(prof.alias_class(path), path.clone(), name.clone()),
+                Place::Xattr(prof.alias_class(path), path.to_string(), name.to_string()),
                 Some(tag64("setx", &[*seed as u64])),
             );
         }
         FsOp::RemoveXattr { path, name } => {
             sig.resolve(path);
-            sig.read(Place::Node(path.clone()));
+            sig.read(Place::Node(path.to_string()));
             // Removal is idempotent: two removals of the same attr commute
             // (tagged with a reserved "absent" value).
             sig.write_exact(
-                Place::Xattr(prof.alias_class(path), path.clone(), name.clone()),
+                Place::Xattr(prof.alias_class(path), path.to_string(), name.to_string()),
                 Some(tag64("rmx", &[])),
             );
         }
         FsOp::Access { path } => {
             sig.resolve(path);
-            sig.read(Place::Node(path.clone()));
-            sig.read(Place::Meta(prof.alias_class(path), path.clone()));
+            sig.read(Place::Node(path.to_string()));
+            sig.read(Place::Meta(prof.alias_class(path), path.to_string()));
         }
         // A crash rolls back everything unsynced, and fsck may rewrite any
         // metadata on the volume; future op variants are unknown and must

@@ -1159,7 +1159,7 @@ mod tests {
         let mut violated = false;
         for i in 0..6 {
             let op = FsOp::CreateFile {
-                path: format!("/file{i}"),
+                path: format!("/file{i}").into(),
                 mode: 0o644,
             };
             if let ApplyOutcome::Violation(msg) = m.apply(&op) {
@@ -1261,11 +1261,11 @@ mod tests {
             'outer: for i in 0..40 {
                 let ops = [
                     FsOp::CreateFile {
-                        path: format!("/fill{i}"),
+                        path: format!("/fill{i}").into(),
                         mode: 0o644,
                     },
                     FsOp::WriteFile {
-                        path: format!("/fill{i}"),
+                        path: format!("/fill{i}").into(),
                         offset: 0,
                         size: 4096,
                         seed: 1,
@@ -1662,11 +1662,11 @@ mod tests {
         for i in 0..40 {
             let ops = [
                 FsOp::CreateFile {
-                    path: format!("/fill{i}"),
+                    path: format!("/fill{i}").into(),
                     mode: 0o644,
                 },
                 FsOp::WriteFile {
-                    path: format!("/fill{i}"),
+                    path: format!("/fill{i}").into(),
                     offset: 0,
                     size: 4096,
                     seed: 1,

@@ -13,6 +13,8 @@
 //! lurk" (§2), and their errnos are compared across file systems like any
 //! other result.
 
+use std::sync::Arc;
+
 use vfs::{
     AccessMode, Errno, FileMode, FileSystem, FileType, FsCapabilities, OpenFlags, VfsResult,
     XattrFlags,
@@ -25,7 +27,7 @@ pub enum FsOp {
     /// Meta-op: `creat(path, mode)` then `close` (paper §4).
     CreateFile {
         /// Target path.
-        path: String,
+        path: Arc<str>,
         /// Permission bits.
         mode: u16,
     },
@@ -33,7 +35,7 @@ pub enum FsOp {
     /// `close`.
     WriteFile {
         /// Target path.
-        path: String,
+        path: Arc<str>,
         /// Absolute write offset.
         offset: u64,
         /// Bytes written.
@@ -44,53 +46,53 @@ pub enum FsOp {
     /// `truncate(path, size)`.
     Truncate {
         /// Target path.
-        path: String,
+        path: Arc<str>,
         /// New size.
         size: u64,
     },
     /// `mkdir(path, mode)`.
     Mkdir {
         /// Target path.
-        path: String,
+        path: Arc<str>,
         /// Permission bits.
         mode: u16,
     },
     /// `rmdir(path)`.
     Rmdir {
         /// Target path.
-        path: String,
+        path: Arc<str>,
     },
     /// `unlink(path)`.
     Unlink {
         /// Target path.
-        path: String,
+        path: Arc<str>,
     },
     /// `rename(src, dst)`.
     Rename {
         /// Source path.
-        src: String,
+        src: Arc<str>,
         /// Destination path.
-        dst: String,
+        dst: Arc<str>,
     },
     /// `link(existing, new)`.
     Hardlink {
         /// Existing file.
-        src: String,
+        src: Arc<str>,
         /// New link path.
-        dst: String,
+        dst: Arc<str>,
     },
     /// `symlink(target, linkpath)`.
     Symlink {
         /// Link target (stored verbatim).
-        target: String,
+        target: Arc<str>,
         /// Where the link is created.
-        linkpath: String,
+        linkpath: Arc<str>,
     },
     /// Meta-op: `open`, `lseek`, `read(size)`, `close`; the data read is part
     /// of the compared outcome.
     ReadFile {
         /// Target path.
-        path: String,
+        path: Arc<str>,
         /// Absolute read offset.
         offset: u64,
         /// Bytes to read.
@@ -99,40 +101,40 @@ pub enum FsOp {
     /// `lstat(path)`; the important attributes are compared.
     Stat {
         /// Target path.
-        path: String,
+        path: Arc<str>,
     },
     /// `getdents(path)`; entries are sorted before comparison (§3.4).
     Getdents {
         /// Target path.
-        path: String,
+        path: Arc<str>,
     },
     /// `chmod(path, mode)`.
     Chmod {
         /// Target path.
-        path: String,
+        path: Arc<str>,
         /// New permission bits.
         mode: u16,
     },
     /// `setxattr(path, name, value)`.
     SetXattr {
         /// Target path.
-        path: String,
+        path: Arc<str>,
         /// Attribute name.
-        name: String,
+        name: Arc<str>,
         /// Seed for the deterministic value bytes.
         seed: u8,
     },
     /// `removexattr(path, name)`.
     RemoveXattr {
         /// Target path.
-        path: String,
+        path: Arc<str>,
         /// Attribute name.
-        name: String,
+        name: Arc<str>,
     },
     /// `access(path, R_OK|W_OK)`.
     Access {
         /// Target path.
-        path: String,
+        path: Arc<str>,
     },
     /// Pseudo-op: a power cut and reboot between operations. All in-memory
     /// file-system state and unflushed device writes are lost, then every
@@ -486,8 +488,17 @@ impl PoolConfig {
     /// Generates the full bounded operation set (before capability
     /// filtering).
     pub fn ops(&self) -> Vec<FsOp> {
+        // One shared allocation per pool string: every op naming a path
+        // holds a reference to it, so cloning the set is refcount bumps.
+        let interned =
+            |v: &[String]| -> Vec<Arc<str>> { v.iter().map(|s| s.as_str().into()).collect() };
+        let (files, dirs, xattr_names) = (
+            interned(&self.files),
+            interned(&self.dirs),
+            interned(&self.xattr_names),
+        );
         let mut out = Vec::new();
-        for f in &self.files {
+        for f in &files {
             for &m in &self.modes {
                 out.push(FsOp::CreateFile {
                     path: f.clone(),
@@ -523,7 +534,7 @@ impl PoolConfig {
                     mode: m,
                 });
             }
-            for name in &self.xattr_names {
+            for name in &xattr_names {
                 for &seed in &self.seeds {
                     out.push(FsOp::SetXattr {
                         path: f.clone(),
@@ -538,7 +549,7 @@ impl PoolConfig {
             }
             out.push(FsOp::Access { path: f.clone() });
         }
-        for d in &self.dirs {
+        for d in &dirs {
             for &m in &self.modes {
                 out.push(FsOp::Mkdir {
                     path: d.clone(),
@@ -551,8 +562,8 @@ impl PoolConfig {
         }
         out.push(FsOp::Getdents { path: "/".into() });
         // Renames and links between the first few files/dirs.
-        for (i, src) in self.files.iter().enumerate() {
-            for dst in self.files.iter().skip(i + 1) {
+        for (i, src) in files.iter().enumerate() {
+            for dst in files.iter().skip(i + 1) {
                 out.push(FsOp::Rename {
                     src: src.clone(),
                     dst: dst.clone(),
@@ -563,14 +574,13 @@ impl PoolConfig {
                 });
             }
         }
-        if let (Some(f), Some(l)) = (self.files.first(), self.files.get(1)) {
+        if let (Some(f), Some(l)) = (files.first(), files.get(1)) {
+            let linkpath: Arc<str> = format!("{l}.ln").into();
             out.push(FsOp::Symlink {
                 target: f.clone(),
-                linkpath: format!("{l}.ln"),
+                linkpath: linkpath.clone(),
             });
-            out.push(FsOp::Unlink {
-                path: format!("{l}.ln"),
-            });
+            out.push(FsOp::Unlink { path: linkpath });
         }
         out
     }

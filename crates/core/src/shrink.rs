@@ -100,9 +100,9 @@ pub(crate) fn consumed_paths(op: &FsOp) -> Vec<&str> {
         | FsOp::Chmod { path, .. }
         | FsOp::SetXattr { path, .. }
         | FsOp::RemoveXattr { path, .. }
-        | FsOp::Access { path } => vec![path.as_str()],
+        | FsOp::Access { path } => vec![path.as_ref()],
         FsOp::Rename { src, dst } | FsOp::Hardlink { src, dst } => {
-            let mut v = vec![src.as_str()];
+            let mut v = vec![src.as_ref()];
             v.extend(parent_of(dst));
             v
         }
@@ -113,9 +113,9 @@ pub(crate) fn consumed_paths(op: &FsOp) -> Vec<&str> {
 /// Whether `op` *produces* `path` (makes it exist).
 pub(crate) fn produces(op: &FsOp, path: &str) -> bool {
     match op {
-        FsOp::CreateFile { path: p, .. } | FsOp::Mkdir { path: p, .. } => p == path,
-        FsOp::Rename { dst, .. } | FsOp::Hardlink { dst, .. } => dst == path,
-        FsOp::Symlink { linkpath, .. } => linkpath == path,
+        FsOp::CreateFile { path: p, .. } | FsOp::Mkdir { path: p, .. } => **p == *path,
+        FsOp::Rename { dst, .. } | FsOp::Hardlink { dst, .. } => **dst == *path,
+        FsOp::Symlink { linkpath, .. } => **linkpath == *path,
         _ => false,
     }
 }

@@ -152,58 +152,68 @@ impl OpCodec<FsOp> for FsOpCodec {
         let tag = r.u8()?;
         Ok(match tag {
             TAG_CREATE_FILE => FsOp::CreateFile {
-                path: r.str()?,
+                path: r.str()?.into(),
                 mode: read_u16(r)?,
             },
             TAG_WRITE_FILE => FsOp::WriteFile {
-                path: r.str()?,
+                path: r.str()?.into(),
                 offset: r.u64()?,
                 size: r.u64()?,
                 seed: r.u8()?,
             },
             TAG_TRUNCATE => FsOp::Truncate {
-                path: r.str()?,
+                path: r.str()?.into(),
                 size: r.u64()?,
             },
             TAG_MKDIR => FsOp::Mkdir {
-                path: r.str()?,
+                path: r.str()?.into(),
                 mode: read_u16(r)?,
             },
-            TAG_RMDIR => FsOp::Rmdir { path: r.str()? },
-            TAG_UNLINK => FsOp::Unlink { path: r.str()? },
+            TAG_RMDIR => FsOp::Rmdir {
+                path: r.str()?.into(),
+            },
+            TAG_UNLINK => FsOp::Unlink {
+                path: r.str()?.into(),
+            },
             TAG_RENAME => FsOp::Rename {
-                src: r.str()?,
-                dst: r.str()?,
+                src: r.str()?.into(),
+                dst: r.str()?.into(),
             },
             TAG_HARDLINK => FsOp::Hardlink {
-                src: r.str()?,
-                dst: r.str()?,
+                src: r.str()?.into(),
+                dst: r.str()?.into(),
             },
             TAG_SYMLINK => FsOp::Symlink {
-                target: r.str()?,
-                linkpath: r.str()?,
+                target: r.str()?.into(),
+                linkpath: r.str()?.into(),
             },
             TAG_READ_FILE => FsOp::ReadFile {
-                path: r.str()?,
+                path: r.str()?.into(),
                 offset: r.u64()?,
                 size: r.u64()?,
             },
-            TAG_STAT => FsOp::Stat { path: r.str()? },
-            TAG_GETDENTS => FsOp::Getdents { path: r.str()? },
+            TAG_STAT => FsOp::Stat {
+                path: r.str()?.into(),
+            },
+            TAG_GETDENTS => FsOp::Getdents {
+                path: r.str()?.into(),
+            },
             TAG_CHMOD => FsOp::Chmod {
-                path: r.str()?,
+                path: r.str()?.into(),
                 mode: read_u16(r)?,
             },
             TAG_SET_XATTR => FsOp::SetXattr {
-                path: r.str()?,
-                name: r.str()?,
+                path: r.str()?.into(),
+                name: r.str()?.into(),
                 seed: r.u8()?,
             },
             TAG_REMOVE_XATTR => FsOp::RemoveXattr {
-                path: r.str()?,
-                name: r.str()?,
+                path: r.str()?.into(),
+                name: r.str()?.into(),
             },
-            TAG_ACCESS => FsOp::Access { path: r.str()? },
+            TAG_ACCESS => FsOp::Access {
+                path: r.str()?.into(),
+            },
             TAG_CRASH => FsOp::Crash,
             TAG_FSCK => FsOp::Fsck,
             other => {
@@ -314,6 +324,95 @@ mod tests {
             let back = codec.decode_op(&mut r).expect("decodes");
             assert_eq!(back, op);
             assert_eq!(r.remaining(), 0, "trailing bytes after {op:?}");
+        }
+    }
+
+    /// The encoding, `Debug` and `Display` of one instance of every
+    /// variant, pinned to what they were while op paths were `String`s: the
+    /// `MCFSPKL` pickle format and violation messages must not move.
+    #[test]
+    fn encodings_and_renderings_are_pinned() {
+        let pinned = [
+            (
+                "00030000002f6630a401",
+                "CreateFile { path: \"/f0\", mode: 420 }",
+                "create_file(/f0, 0644)",
+            ),
+            (
+                "01030000002f663000100000000000000700000000000000ab",
+                "WriteFile { path: \"/f0\", offset: 4096, size: 7, seed: 171 }",
+                "write_file(/f0, off=4096, len=7, seed=171)",
+            ),
+            (
+                "02030000002f6630ffffffffffffffff",
+                "Truncate { path: \"/f0\", size: 18446744073709551615 }",
+                "truncate(/f0, 18446744073709551615)",
+            ),
+            (
+                "03030000002f6430ed01",
+                "Mkdir { path: \"/d0\", mode: 493 }",
+                "mkdir(/d0, 0755)",
+            ),
+            ("04030000002f6430", "Rmdir { path: \"/d0\" }", "rmdir(/d0)"),
+            (
+                "05030000002f6630",
+                "Unlink { path: \"/f0\" }",
+                "unlink(/f0)",
+            ),
+            (
+                "06030000002f6630060000002f64302f6631",
+                "Rename { src: \"/f0\", dst: \"/d0/f1\" }",
+                "rename(/f0, /d0/f1)",
+            ),
+            (
+                "07030000002f6630030000002f6c30",
+                "Hardlink { src: \"/f0\", dst: \"/l0\" }",
+                "link(/f0, /l0)",
+            ),
+            (
+                "08050000002e2e2f6630030000002f7330",
+                "Symlink { target: \"../f0\", linkpath: \"/s0\" }",
+                "symlink(../f0, /s0)",
+            ),
+            (
+                "09030000002f663000000000000000000010000000000000",
+                "ReadFile { path: \"/f0\", offset: 0, size: 4096 }",
+                "read_file(/f0, off=0, len=4096)",
+            ),
+            ("0a030000002f6630", "Stat { path: \"/f0\" }", "stat(/f0)"),
+            ("0b010000002f", "Getdents { path: \"/\" }", "getdents(/)"),
+            (
+                "0c030000002f6630ff0f",
+                "Chmod { path: \"/f0\", mode: 4095 }",
+                "chmod(/f0, 7777)",
+            ),
+            (
+                "0d030000002f663006000000757365722e6b03",
+                "SetXattr { path: \"/f0\", name: \"user.k\", seed: 3 }",
+                "setxattr(/f0, user.k, seed=3)",
+            ),
+            (
+                "0e030000002f663006000000757365722e6b",
+                "RemoveXattr { path: \"/f0\", name: \"user.k\" }",
+                "removexattr(/f0, user.k)",
+            ),
+            (
+                "0f030000002f6630",
+                "Access { path: \"/f0\" }",
+                "access(/f0, R_OK|W_OK)",
+            ),
+            ("10", "Crash", "crash"),
+            ("11", "Fsck", "fsck"),
+        ];
+        let ops = all_variants();
+        assert_eq!(ops.len(), pinned.len());
+        for (op, (hex, debug, shown)) in ops.iter().zip(pinned) {
+            let mut buf = Vec::new();
+            FsOpCodec.encode_op(op, &mut buf);
+            let got: String = buf.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(got, hex, "{op:?}");
+            assert_eq!(format!("{op:?}"), debug);
+            assert_eq!(op.to_string(), shown);
         }
     }
 

@@ -122,7 +122,7 @@ fn verifs_checkpoint_targets_report_cow_sharing() {
     let mut m = Mcfs::new(targets, McfsConfig::default()).expect("harness");
     for i in 0..20 {
         let op = mcfs::FsOp::Mkdir {
-            path: format!("/d{i}"),
+            path: format!("/d{i}").into(),
             mode: 0o755,
         };
         m.apply(&op);

@@ -2,26 +2,6 @@
 
 use crate::Digest128;
 
-/// Per-round left-rotation amounts.
-const S: [u32; 64] = [
-    7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, // round 1
-    5, 9, 14, 20, 5, 9, 14, 20, 5, 9, 14, 20, 5, 9, 14, 20, // round 2
-    4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, // round 3
-    6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21, // round 4
-];
-
-/// Sine-derived additive constants: `K[i] = floor(2^32 * |sin(i + 1)|)`.
-const K: [u32; 64] = [
-    0xd76aa478, 0xe8c7b756, 0x242070db, 0xc1bdceee, 0xf57c0faf, 0x4787c62a, 0xa8304613, 0xfd469501,
-    0x698098d8, 0x8b44f7af, 0xffff5bb1, 0x895cd7be, 0x6b901122, 0xfd987193, 0xa679438e, 0x49b40821,
-    0xf61e2562, 0xc040b340, 0x265e5a51, 0xe9b6c7aa, 0xd62f105d, 0x02441453, 0xd8a1e681, 0xe7d3fbc8,
-    0x21e1cde6, 0xc33707d6, 0xf4d50d87, 0x455a14ed, 0xa9e3e905, 0xfcefa3f8, 0x676f02d9, 0x8d2a4c8a,
-    0xfffa3942, 0x8771f681, 0x6d9d6122, 0xfde5380c, 0xa4beea44, 0x4bdecfa9, 0xf6bb4b60, 0xbebfbc70,
-    0x289b7ec6, 0xeaa127fa, 0xd4ef3085, 0x04881d05, 0xd9d4d039, 0xe6db99e5, 0x1fa27cf8, 0xc4ac5665,
-    0xf4292244, 0x432aff97, 0xab9423a7, 0xfc93a039, 0x655b59c3, 0x8f0ccc92, 0xffeff47d, 0x85845dd1,
-    0x6fa87e4f, 0xfe2ce6e0, 0xa3014314, 0x4e0811a1, 0xf7537e82, 0xbd3af235, 0x2ad7d2bb, 0xeb86d391,
-];
-
 /// Streaming MD5 context.
 ///
 /// Feed data with [`update`](Md5::update) and produce the digest with
@@ -41,6 +21,7 @@ pub struct Md5 {
     /// Total message length in bytes (mod 2^64).
     len: u64,
     buf: [u8; 64],
+    /// Bytes buffered in `buf`; always `< 64` between calls.
     buf_len: usize,
 }
 
@@ -63,24 +44,23 @@ impl Md5 {
             let take = rest.len().min(64 - self.buf_len);
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&rest[..take]);
             self.buf_len += take;
-            rest = &rest[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
+            if self.buf_len < 64 {
+                // Everything fit in the partial block (possibly nothing
+                // arrived); the buffered tail must survive this call.
+                return;
             }
+            compress(&mut self.state, &self.buf);
+            self.buf_len = 0;
+            rest = &rest[take..];
         }
-        while rest.len() >= 64 {
-            let (block, tail) = rest.split_at(64);
-            let mut arr = [0u8; 64];
-            arr.copy_from_slice(block);
-            self.compress(&arr);
-            rest = tail;
+        // Full blocks compress straight from the caller's slice.
+        let mut blocks = rest.chunks_exact(64);
+        for block in &mut blocks {
+            compress(&mut self.state, block.try_into().expect("64-byte chunk"));
         }
-        if !rest.is_empty() {
-            self.buf[..rest.len()].copy_from_slice(rest);
-            self.buf_len = rest.len();
-        }
+        let tail = blocks.remainder();
+        self.buf[..tail.len()].copy_from_slice(tail);
+        self.buf_len = tail.len();
     }
 
     /// Appends the 64-bit little-endian length of a `u64` to the digest state.
@@ -100,16 +80,18 @@ impl Md5 {
     /// Pads the message and returns the final digest, consuming the context.
     pub fn finalize(mut self) -> Digest128 {
         let bit_len = self.len.wrapping_mul(8);
-        // Padding: 0x80 then zeros until 56 mod 64, then the bit length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        // Padding: 0x80, zeros up to 56 mod 64, then the 64-bit bit length.
+        // When the 0x80 lands past byte 55 the length no longer fits, so the
+        // padding spills into a second block.
+        let n = self.buf_len;
+        self.buf[n] = 0x80;
+        self.buf[n + 1..].fill(0);
+        if n >= 56 {
+            compress(&mut self.state, &self.buf);
+            self.buf[..56].fill(0);
         }
-        // Manual length append: bypass update() so `len` bookkeeping isn't
-        // disturbed (it no longer matters, but compress() needs a full block).
-        self.buf[56..64].copy_from_slice(&bit_len.to_le_bytes());
-        let block = self.buf;
-        self.compress(&block);
+        self.buf[56..].copy_from_slice(&bit_len.to_le_bytes());
+        compress(&mut self.state, &self.buf);
 
         let mut out = [0u8; 16];
         for (i, word) in self.state.iter().enumerate() {
@@ -117,44 +99,134 @@ impl Md5 {
         }
         Digest128::from_bytes(out)
     }
-
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut m = [0u32; 16];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            m[i] = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
-
-        let [mut a, mut b, mut c, mut d] = self.state;
-        for i in 0..64 {
-            let (f, g) = match i {
-                0..=15 => ((b & c) | (!b & d), i),
-                16..=31 => ((d & b) | (!d & c), (5 * i + 1) % 16),
-                32..=47 => (b ^ c ^ d, (3 * i + 5) % 16),
-                _ => (c ^ (b | !d), (7 * i) % 16),
-            };
-            let tmp = d;
-            d = c;
-            c = b;
-            b = b.wrapping_add(
-                a.wrapping_add(f)
-                    .wrapping_add(K[i])
-                    .wrapping_add(m[g])
-                    .rotate_left(S[i]),
-            );
-            a = tmp;
-        }
-
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-    }
 }
 
 impl Default for Md5 {
     fn default() -> Self {
         Md5::new()
     }
+}
+
+/// One MD5 step: `a = b + ((a + f(b, c, d) + m + k) <<< s)`.
+macro_rules! step {
+    ($f:ident, $a:ident, $b:ident, $c:ident, $d:ident, $m:expr, $k:expr, $s:expr) => {
+        $a = $b.wrapping_add(
+            $a.wrapping_add($f($b, $c, $d))
+                .wrapping_add($m)
+                .wrapping_add($k)
+                .rotate_left($s),
+        );
+    };
+}
+
+#[inline(always)]
+fn f(b: u32, c: u32, d: u32) -> u32 {
+    // (b & c) | (!b & d), with one operation fewer.
+    d ^ (b & (c ^ d))
+}
+
+#[inline(always)]
+fn g(b: u32, c: u32, d: u32) -> u32 {
+    // (b & d) | (c & !d)
+    c ^ (d & (b ^ c))
+}
+
+#[inline(always)]
+fn h(b: u32, c: u32, d: u32) -> u32 {
+    b ^ c ^ d
+}
+
+#[inline(always)]
+fn i(b: u32, c: u32, d: u32) -> u32 {
+    c ^ (b | !d)
+}
+
+/// The RFC 1321 compression function, unrolled: each round's message-word
+/// order, rotation amounts and sine-derived constants
+/// (`floor(2^32 * |sin(j + 1)|)` for step `j`) are written out in place.
+fn compress(state: &mut [u32; 4], block: &[u8; 64]) {
+    let mut m = [0u32; 16];
+    for (w, chunk) in m.iter_mut().zip(block.chunks_exact(4)) {
+        *w = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+    }
+    let [mut a, mut b, mut c, mut d] = *state;
+
+    // Round 1: m[j].
+    step!(f, a, b, c, d, m[0], 0xd76a_a478, 7);
+    step!(f, d, a, b, c, m[1], 0xe8c7_b756, 12);
+    step!(f, c, d, a, b, m[2], 0x2420_70db, 17);
+    step!(f, b, c, d, a, m[3], 0xc1bd_ceee, 22);
+    step!(f, a, b, c, d, m[4], 0xf57c_0faf, 7);
+    step!(f, d, a, b, c, m[5], 0x4787_c62a, 12);
+    step!(f, c, d, a, b, m[6], 0xa830_4613, 17);
+    step!(f, b, c, d, a, m[7], 0xfd46_9501, 22);
+    step!(f, a, b, c, d, m[8], 0x6980_98d8, 7);
+    step!(f, d, a, b, c, m[9], 0x8b44_f7af, 12);
+    step!(f, c, d, a, b, m[10], 0xffff_5bb1, 17);
+    step!(f, b, c, d, a, m[11], 0x895c_d7be, 22);
+    step!(f, a, b, c, d, m[12], 0x6b90_1122, 7);
+    step!(f, d, a, b, c, m[13], 0xfd98_7193, 12);
+    step!(f, c, d, a, b, m[14], 0xa679_438e, 17);
+    step!(f, b, c, d, a, m[15], 0x49b4_0821, 22);
+
+    // Round 2: m[(5j + 1) mod 16].
+    step!(g, a, b, c, d, m[1], 0xf61e_2562, 5);
+    step!(g, d, a, b, c, m[6], 0xc040_b340, 9);
+    step!(g, c, d, a, b, m[11], 0x265e_5a51, 14);
+    step!(g, b, c, d, a, m[0], 0xe9b6_c7aa, 20);
+    step!(g, a, b, c, d, m[5], 0xd62f_105d, 5);
+    step!(g, d, a, b, c, m[10], 0x0244_1453, 9);
+    step!(g, c, d, a, b, m[15], 0xd8a1_e681, 14);
+    step!(g, b, c, d, a, m[4], 0xe7d3_fbc8, 20);
+    step!(g, a, b, c, d, m[9], 0x21e1_cde6, 5);
+    step!(g, d, a, b, c, m[14], 0xc337_07d6, 9);
+    step!(g, c, d, a, b, m[3], 0xf4d5_0d87, 14);
+    step!(g, b, c, d, a, m[8], 0x455a_14ed, 20);
+    step!(g, a, b, c, d, m[13], 0xa9e3_e905, 5);
+    step!(g, d, a, b, c, m[2], 0xfcef_a3f8, 9);
+    step!(g, c, d, a, b, m[7], 0x676f_02d9, 14);
+    step!(g, b, c, d, a, m[12], 0x8d2a_4c8a, 20);
+
+    // Round 3: m[(3j + 5) mod 16].
+    step!(h, a, b, c, d, m[5], 0xfffa_3942, 4);
+    step!(h, d, a, b, c, m[8], 0x8771_f681, 11);
+    step!(h, c, d, a, b, m[11], 0x6d9d_6122, 16);
+    step!(h, b, c, d, a, m[14], 0xfde5_380c, 23);
+    step!(h, a, b, c, d, m[1], 0xa4be_ea44, 4);
+    step!(h, d, a, b, c, m[4], 0x4bde_cfa9, 11);
+    step!(h, c, d, a, b, m[7], 0xf6bb_4b60, 16);
+    step!(h, b, c, d, a, m[10], 0xbebf_bc70, 23);
+    step!(h, a, b, c, d, m[13], 0x289b_7ec6, 4);
+    step!(h, d, a, b, c, m[0], 0xeaa1_27fa, 11);
+    step!(h, c, d, a, b, m[3], 0xd4ef_3085, 16);
+    step!(h, b, c, d, a, m[6], 0x0488_1d05, 23);
+    step!(h, a, b, c, d, m[9], 0xd9d4_d039, 4);
+    step!(h, d, a, b, c, m[12], 0xe6db_99e5, 11);
+    step!(h, c, d, a, b, m[15], 0x1fa2_7cf8, 16);
+    step!(h, b, c, d, a, m[2], 0xc4ac_5665, 23);
+
+    // Round 4: m[7j mod 16].
+    step!(i, a, b, c, d, m[0], 0xf429_2244, 6);
+    step!(i, d, a, b, c, m[7], 0x432a_ff97, 10);
+    step!(i, c, d, a, b, m[14], 0xab94_23a7, 15);
+    step!(i, b, c, d, a, m[5], 0xfc93_a039, 21);
+    step!(i, a, b, c, d, m[12], 0x655b_59c3, 6);
+    step!(i, d, a, b, c, m[3], 0x8f0c_cc92, 10);
+    step!(i, c, d, a, b, m[10], 0xffef_f47d, 15);
+    step!(i, b, c, d, a, m[1], 0x8584_5dd1, 21);
+    step!(i, a, b, c, d, m[8], 0x6fa8_7e4f, 6);
+    step!(i, d, a, b, c, m[15], 0xfe2c_e6e0, 10);
+    step!(i, c, d, a, b, m[6], 0xa301_4314, 15);
+    step!(i, b, c, d, a, m[13], 0x4e08_11a1, 21);
+    step!(i, a, b, c, d, m[4], 0xf753_7e82, 6);
+    step!(i, d, a, b, c, m[11], 0xbd3a_f235, 10);
+    step!(i, c, d, a, b, m[2], 0x2ad7_d2bb, 15);
+    step!(i, b, c, d, a, m[9], 0xeb86_d391, 21);
+
+    state[0] = state[0].wrapping_add(a);
+    state[1] = state[1].wrapping_add(b);
+    state[2] = state[2].wrapping_add(c);
+    state[3] = state[3].wrapping_add(d);
 }
 
 #[cfg(test)]
@@ -189,7 +261,7 @@ mod tests {
         let data = [0xabu8; 64];
         let d = crate::md5(&data);
         // Reference value computed with the standard md5 implementation.
-        assert_eq!(d.to_hex().len(), 32);
+        assert_eq!(d.to_hex(), "5bb6f6136cad3c71da7caae9a81b6492");
         let mut ctx = Md5::new();
         ctx.update(&data[..31]);
         ctx.update(&data[31..]);
@@ -207,6 +279,25 @@ mod tests {
                 ctx.update(std::slice::from_ref(b));
             }
             assert_eq!(ctx.finalize(), a, "length {n}");
+        }
+    }
+
+    #[test]
+    fn every_split_with_an_empty_update_matches_oneshot() {
+        // Every length across the one- and two-block padding cases and a
+        // few full blocks, split at every point with an empty update in
+        // between: a buffered tail must survive the empty call.
+        let data: Vec<u8> = (0..300u32).map(|i| (i * 7 + 3) as u8).collect();
+        for len in 0..=data.len() {
+            let msg = &data[..len];
+            let oneshot = crate::md5(msg);
+            for split in 0..=len {
+                let mut ctx = Md5::new();
+                ctx.update(&msg[..split]);
+                ctx.update(&[]);
+                ctx.update(&msg[split..]);
+                assert_eq!(ctx.finalize(), oneshot, "length {len}, split {split}");
+            }
         }
     }
 }

@@ -12,7 +12,7 @@
 //! zeroing steps were missing.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use vfs::{
     path, AccessMode, DirEntry, Errno, Fd, FdTable, FileMode, FileStat, FileSystem, FileType,
@@ -155,6 +155,12 @@ impl Inode {
 #[derive(Debug, Clone)]
 struct FsState {
     inodes: Arc<Vec<Option<Inode>>>,
+    /// Memo of the residue digest ([`FileSystem::opaque_state_digest`]),
+    /// filled on first use. It is a function of every regular file's
+    /// buffer and size and of the namespace, so the methods that change
+    /// those ([`VeriFs::forget_residue`]'s callers) reset it. Living in the
+    /// state means a checkpoint clones it and a restore brings it back.
+    residue: OnceLock<Option<u128>>,
     /// Logical bytes charged against the data budget.
     data_used: u64,
     /// Monotonic logical timestamp, bumped on every state-changing call.
@@ -183,6 +189,7 @@ impl FsState {
         });
         FsState {
             inodes: Arc::new(inodes),
+            residue: OnceLock::new(),
             data_used: 0,
             time: 1,
             open_files: FdTable::new(max_fds),
@@ -309,6 +316,12 @@ impl VeriFs {
         self.state.time
     }
 
+    /// Drops the residue-digest memo: called wherever a file's buffer or
+    /// size, or the namespace, changes.
+    fn forget_residue(&mut self) {
+        self.state.residue = OnceLock::new();
+    }
+
     fn inode(&self, ino: u64) -> VfsResult<&Inode> {
         self.state
             .inodes
@@ -327,6 +340,7 @@ impl VeriFs {
     }
 
     fn alloc_inode(&mut self, inode: Inode) -> VfsResult<u64> {
+        self.forget_residue();
         for (i, slot) in Arc::make_mut(&mut self.state.inodes)
             .iter_mut()
             .enumerate()
@@ -376,6 +390,7 @@ impl VeriFs {
     }
 
     fn insert_entry(&mut self, parent: u64, name: &str, child: u64) -> VfsResult<()> {
+        self.forget_residue();
         let now = self.tick();
         match &mut self.inode_mut(parent)?.kind {
             NodeKind::Directory { entries } => {
@@ -390,6 +405,7 @@ impl VeriFs {
     }
 
     fn remove_entry(&mut self, parent: u64, name: &str) -> VfsResult<u64> {
+        self.forget_residue();
         let now = self.tick();
         let child = match &mut self.inode_mut(parent)?.kind {
             NodeKind::Directory { entries } => {
@@ -420,6 +436,7 @@ impl VeriFs {
         if let NodeKind::Regular { size, .. } = node.kind {
             self.state.data_used = self.state.data_used.saturating_sub(size);
         }
+        self.forget_residue();
         Arc::make_mut(&mut self.state.inodes)[ino as usize] = None;
         Ok(())
     }
@@ -463,6 +480,7 @@ impl VeriFs {
             NodeKind::Symlink { .. } => return Err(Errno::EINVAL),
         };
         self.charge(old_size, new_size)?;
+        self.forget_residue();
         let node = self.inode_mut(ino)?;
         if let NodeKind::Regular { buf, size } = &mut node.kind {
             let buf = Arc::make_mut(buf);
@@ -693,6 +711,7 @@ impl FileSystem for VeriFs {
         let end = offset.checked_add(data.len() as u64).ok_or(Errno::EFBIG)?;
         let new_size = end.max(old_size);
         self.charge(old_size, new_size)?;
+        self.forget_residue();
         let node = self.inode_mut(of.ino)?;
         if let NodeKind::Regular { buf, size } = &mut node.kind {
             let buf = Arc::make_mut(buf);
@@ -1073,6 +1092,18 @@ impl FileSystem for VeriFs {
     }
 
     fn opaque_state_digest(&self) -> Option<u128> {
+        *self
+            .state
+            .residue
+            .get_or_init(|| self.opaque_state_digest_uncached())
+    }
+}
+
+impl VeriFs {
+    /// [`FileSystem::opaque_state_digest`] computed from scratch, bypassing
+    /// the memo the trait method keeps in the live state. The two always
+    /// agree; tests compare them.
+    pub fn opaque_state_digest_uncached(&self) -> Option<u128> {
         if !self.config.opaque_residue_digest {
             return None;
         }
@@ -1118,9 +1149,7 @@ impl FileSystem for VeriFs {
         }
         any.then_some(acc)
     }
-}
 
-impl VeriFs {
     /// Lexicographically-smallest path reaching each inode, indexed by
     /// inode number. Directories have exactly one parent, so the walk is a
     /// tree traversal; hardlinked files keep the smallest of their names.

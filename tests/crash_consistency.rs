@@ -127,11 +127,11 @@ fn torn_script() -> Vec<FsOp> {
     }];
     for i in 0..6u8 {
         ops.push(FsOp::CreateFile {
-            path: format!("/f{i}"),
+            path: format!("/f{i}").into(),
             mode: 0o644,
         });
         ops.push(FsOp::WriteFile {
-            path: format!("/f{i}"),
+            path: format!("/f{i}").into(),
             offset: 0,
             size: 900,
             seed: i,

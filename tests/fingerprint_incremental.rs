@@ -7,6 +7,8 @@
 //! file-system backends. The from-scratch [`abstract_state`] never reads
 //! the cache, so it is an independent oracle.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use mcfs::{
@@ -20,12 +22,12 @@ use vfs::FileSystem;
 /// three components, so renames and rmdirs move whole subtrees.
 fn arb_op() -> impl Strategy<Value = FsOp> {
     let path = prop_oneof![
-        Just("/a".to_string()),
-        Just("/b".to_string()),
-        Just("/d".to_string()),
-        Just("/d/c".to_string()),
-        Just("/d/e".to_string()),
-        Just("/d/c/x".to_string()),
+        Just(Arc::<str>::from("/a")),
+        Just(Arc::<str>::from("/b")),
+        Just(Arc::<str>::from("/d")),
+        Just(Arc::<str>::from("/d/c")),
+        Just(Arc::<str>::from("/d/e")),
+        Just(Arc::<str>::from("/d/c/x")),
     ];
     let size = prop_oneof![Just(0u64), Just(1), Just(65), Just(200)];
     let offset = prop_oneof![Just(0u64), Just(10), Just(100)];
@@ -154,9 +156,9 @@ proptest! {
             let t = t.as_mut();
             for (i, d) in ["/d", "/d/c", "/d/c/x"].iter().enumerate() {
                 let op = if i < 2 {
-                    FsOp::Mkdir { path: d.to_string(), mode: 0o755 }
+                    FsOp::Mkdir { path: (*d).into(), mode: 0o755 }
                 } else {
-                    FsOp::CreateFile { path: d.to_string(), mode: 0o644 }
+                    FsOp::CreateFile { path: (*d).into(), mode: 0o644 }
                 };
                 t.invalidate_fingerprints(&op.touched_paths());
                 execute(t.fs_mut(), &op, &[]);
@@ -164,8 +166,8 @@ proptest! {
             check(t, &cfg, "after building the tree");
             for (src, dst) in &moves {
                 let op = FsOp::Rename {
-                    src: dirs[*src as usize].to_string(),
-                    dst: dirs[*dst as usize].to_string(),
+                    src: dirs[*src as usize].into(),
+                    dst: dirs[*dst as usize].into(),
                 };
                 t.invalidate_fingerprints(&op.touched_paths());
                 execute(t.fs_mut(), &op, &[]);
@@ -185,8 +187,8 @@ proptest! {
         for mut t in backends() {
             let t = t.as_mut();
             for op in [
-                FsOp::CreateFile { path: "/a".to_string(), mode: 0o644 },
-                FsOp::Hardlink { src: "/a".to_string(), dst: "/b".to_string() },
+                FsOp::CreateFile { path: "/a".into(), mode: 0o644 },
+                FsOp::Hardlink { src: "/a".into(), dst: "/b".into() },
             ] {
                 t.invalidate_fingerprints(&op.touched_paths());
                 execute(t.fs_mut(), &op, &[]);
@@ -194,7 +196,7 @@ proptest! {
             check(t, &cfg, "after linking");
             for (name, offset, size, seed) in &writes {
                 let op = FsOp::WriteFile {
-                    path: ["/a", "/b"][*name as usize].to_string(),
+                    path: ["/a", "/b"][*name as usize].into(),
                     offset: *offset,
                     size: *size,
                     seed: *seed,

@@ -6,6 +6,8 @@
 //! Additional properties cover checkpoint/restore round-trips, device
 //! snapshot semantics, and MD5's incremental-equals-oneshot law.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use mcfs::{abstract_state, execute, AbstractionConfig, FsOp};
@@ -15,10 +17,10 @@ use vfs::{FileSystem, FsCheckpoint};
 /// Strategy: one operation over a tiny bounded namespace.
 fn arb_op() -> impl Strategy<Value = FsOp> {
     let path = prop_oneof![
-        Just("/a".to_string()),
-        Just("/b".to_string()),
-        Just("/d".to_string()),
-        Just("/d/c".to_string()),
+        Just(Arc::<str>::from("/a")),
+        Just(Arc::<str>::from("/b")),
+        Just(Arc::<str>::from("/d")),
+        Just(Arc::<str>::from("/d/c")),
     ];
     let size = prop_oneof![Just(0u64), Just(1), Just(65), Just(200)];
     let offset = prop_oneof![Just(0u64), Just(10), Just(100)];

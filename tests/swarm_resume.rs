@@ -6,6 +6,8 @@
 //! as an uninterrupted run — over both the VeriFS pairing and the
 //! on-disk ext2/ext4 pairing.
 
+use std::sync::Arc;
+
 use blockdev::{Clock, LatencyModel, RamDisk, TimedDevice};
 use fs_ext::{ExtConfig, ExtFs};
 use fusesim::FuseMount;
@@ -123,9 +125,9 @@ fn run_to_snapshot(
 /// namespace — the codec must survive all seventeen tags.
 fn arb_op() -> impl Strategy<Value = FsOp> {
     let path = prop_oneof![
-        Just("/a".to_string()),
-        Just("/d/weird päth".to_string()),
-        Just("/b".to_string()),
+        Just(Arc::<str>::from("/a")),
+        Just(Arc::<str>::from("/d/weird päth")),
+        Just(Arc::<str>::from("/b")),
     ];
     prop_oneof![
         (path.clone(), 0u16..0o1000).prop_map(|(path, mode)| FsOp::CreateFile { path, mode }),
