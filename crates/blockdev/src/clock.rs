@@ -1,6 +1,6 @@
 //! The shared virtual clock that all simulated costs accrue on.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Sentinel for "no active lane" in [`Clock::set_active_lane`].
@@ -22,7 +22,9 @@ const NO_LANE: usize = usize::MAX;
 /// the shared base, and [`Clock::now_ns`] reads `base + lane` — the active
 /// thread's own accumulated cost. With no active lane the clock reads
 /// `base + max(lanes)` (all threads have logically finished their charges),
-/// which is also schedule-independent: `max` commutes.
+/// which is also schedule-independent: `max` commutes. Until a lane is first
+/// opened, [`Clock::now_ns`] reads the base alone without taking the lanes
+/// lock.
 ///
 /// # Examples
 ///
@@ -35,27 +37,44 @@ const NO_LANE: usize = usize::MAX;
 /// assert_eq!(view.now_ns(), 1_500);
 /// assert!((view.now_secs() - 1.5e-6).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Clock {
     ns: Arc<AtomicU64>,
     /// Per-thread virtual-time lanes (empty outside interleaved runs).
     lanes: Arc<Mutex<Vec<u64>>>,
     /// Index of the lane charged by `advance_ns`; `NO_LANE` = shared base.
     active: Arc<AtomicUsize>,
+    /// Whether any lane was opened since creation (or the last reset).
+    /// While it is false every lane reads 0, so `now_ns` skips the lock.
+    /// Stored with `Release` in `set_active_lane`/`reset` and loaded with
+    /// `Acquire` in `now_ns`; the lanes themselves stay behind the mutex.
+    laned: Arc<AtomicBool>,
+}
+
+impl Default for Clock {
+    fn default() -> Self {
+        Clock::new()
+    }
 }
 
 impl Clock {
-    /// Creates a clock starting at zero.
+    /// Creates a clock starting at zero, with no lane active.
     pub fn new() -> Self {
-        let c = Clock::default();
-        c.active.store(NO_LANE, Ordering::Relaxed);
-        c
+        Clock {
+            ns: Arc::default(),
+            lanes: Arc::default(),
+            active: Arc::new(AtomicUsize::new(NO_LANE)),
+            laned: Arc::default(),
+        }
     }
 
     /// Returns the current virtual time in nanoseconds: the shared base plus
     /// the active lane's charge (or the maximum lane when none is active).
     pub fn now_ns(&self) -> u64 {
         let base = self.ns.load(Ordering::Relaxed);
+        if !self.laned.load(Ordering::Acquire) {
+            return base;
+        }
         let lanes = self.lanes.lock().expect("clock lanes poisoned");
         let lane = match self.active.load(Ordering::Relaxed) {
             NO_LANE => lanes.iter().copied().max().unwrap_or(0),
@@ -100,6 +119,7 @@ impl Clock {
     /// share the routing (there is one device/FS stack per harness).
     pub fn set_active_lane(&self, tid: u16) {
         let idx = tid as usize;
+        self.laned.store(true, Ordering::Release);
         {
             let mut lanes = self.lanes.lock().expect("clock lanes poisoned");
             if idx >= lanes.len() {
@@ -130,6 +150,7 @@ impl Clock {
         self.ns.store(0, Ordering::Relaxed);
         self.lanes.lock().expect("clock lanes poisoned").clear();
         self.active.store(NO_LANE, Ordering::Relaxed);
+        self.laned.store(false, Ordering::Release);
     }
 }
 
@@ -184,6 +205,37 @@ mod tests {
         assert_eq!(c.lane_ns(1), 50);
         c.clear_active_lane();
         assert_eq!(c.now_ns(), 150, "no active lane reads base + max(lanes)");
+    }
+
+    #[test]
+    fn default_matches_new_and_starts_without_a_lane() {
+        let (d, n) = (Clock::default(), Clock::new());
+        d.advance_ns(40);
+        n.advance_ns(40);
+        assert_eq!(d.now_ns(), n.now_ns());
+        assert_eq!(d.now_ns(), 40, "charges reach the shared base");
+        assert_eq!(d.lane_ns(0), 0, "no lane is active by default");
+        assert_eq!(d.lane_ns(0), n.lane_ns(0));
+    }
+
+    #[test]
+    fn lanes_opened_after_unlaned_reads_are_still_read() {
+        let c = Clock::new();
+        let view = c.clone();
+        c.advance_ns(100);
+        assert_eq!(view.now_ns(), 100, "lock-free read of the base");
+        // A lane opened later, through another clone, is seen by `view`.
+        c.set_active_lane(2);
+        assert_eq!(view.now_ns(), 100, "a fresh lane reads 0");
+        // Charged through `advance_ns`, the lane is read by every clone.
+        c.advance_ns(25);
+        assert_eq!(view.now_ns(), 125);
+        c.clear_active_lane();
+        assert_eq!(view.now_ns(), 125, "max over lanes once none is active");
+        c.reset();
+        assert_eq!(view.now_ns(), 0);
+        view.advance_ns(7);
+        assert_eq!(c.now_ns(), 7);
     }
 
     #[test]

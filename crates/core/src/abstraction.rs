@@ -16,7 +16,8 @@
 //! operation touched (plus descendants and ancestors), so the per-op cost
 //! drops from O(total tree bytes) to O(touched bytes) + O(tree entries).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::ops::{Bound, Range};
 use std::sync::Arc;
 
 use mdigest::{Digest128, Md5};
@@ -98,10 +99,14 @@ fn hash_state(
 ) -> VfsResult<Digest128> {
     // Phase 1: collect all paths by recursive traversal. This stays a full
     // walk even with a cache — enumeration is O(tree entries), the expensive
-    // part being avoided is the O(tree bytes) content hashing below.
-    let mut files: Vec<(String, FileType)> = Vec::new();
-    let mut pending: Vec<String> = vec!["/".to_string()];
-    while let Some(dir) = pending.pop() {
+    // part being avoided is the O(tree bytes) content hashing below. Every
+    // path is a range of one arena string; `dir` holds the directory being
+    // listed, since the arena grows while its entries are appended.
+    let mut arena = String::new();
+    let mut files: Vec<(Range<usize>, FileType)> = Vec::new();
+    let mut pending: Vec<Range<usize>> = Vec::new();
+    let mut dir = String::from("/");
+    loop {
         let mut entries = fs.getdents(&dir)?;
         if cfg.sort_entries {
             entries.sort_by(|a, b| a.name.cmp(&b.name));
@@ -110,36 +115,56 @@ fn hash_state(
             if cfg.exceptions.contains(&e.name) {
                 continue;
             }
-            let path = vfs::path::join(&dir, &e.name);
+            let start = arena.len();
+            if !vfs::path::is_root(&dir) {
+                arena.push_str(&dir);
+            }
+            arena.push('/');
+            arena.push_str(&e.name);
+            let path = start..arena.len();
             if e.ftype == FileType::Directory {
                 pending.push(path.clone());
             }
             files.push((path, e.ftype));
         }
+        let Some(next) = pending.pop() else { break };
+        dir.clear();
+        dir.push_str(&arena[next]);
     }
-    // Phase 2: sort by pathname for a canonical order.
-    files.sort();
+    // Phase 2: sort by pathname for a canonical order (paths are unique).
+    files.sort_unstable_by(|(a, _), (b, _)| arena[a.clone()].cmp(&arena[b.clone()]));
 
     // Phase 3: fold per-path leaf digests (content + important attributes +
     // path), cached where possible. The root's own attributes participate
-    // too.
+    // too. One read buffer serves every leaf miss.
+    let mut buf = [0u8; 4096];
     let mut ctx = Md5::new();
-    let root = leaf_digest(fs, "/", FileType::Directory, cfg, cache.as_deref_mut())?;
+    let root = leaf_digest(
+        fs,
+        "/",
+        FileType::Directory,
+        cfg,
+        cache.as_deref_mut(),
+        &mut buf,
+    )?;
     ctx.update(root.as_bytes());
     for (path, ftype) in files {
-        let leaf = leaf_digest(fs, &path, ftype, cfg, cache.as_deref_mut())?;
+        let path = &arena[path];
+        let leaf = leaf_digest(fs, path, ftype, cfg, cache.as_deref_mut(), &mut buf)?;
         ctx.update(leaf.as_bytes());
     }
     Ok(ctx.finalize())
 }
 
-/// Computes (or fetches) one path's leaf digest.
+/// Computes (or fetches) one path's leaf digest, reading file content
+/// through `buf`.
 fn leaf_digest(
     fs: &mut dyn FileSystem,
     path: &str,
     ftype: FileType,
     cfg: &AbstractionConfig,
     cache: Option<&mut FingerprintCache>,
+    buf: &mut [u8],
 ) -> VfsResult<Digest128> {
     if let Some(cache) = &cache {
         if let Some(d) = cache.get(path) {
@@ -149,9 +174,8 @@ fn leaf_digest(
     let mut ctx = Md5::new();
     if ftype == FileType::Regular {
         let fd = fs.open(path, OpenFlags::read_only(), vfs::FileMode::REG_DEFAULT)?;
-        let mut buf = vec![0u8; 4096];
         loop {
-            let n = fs.read(fd, &mut buf)?;
+            let n = fs.read(fd, buf)?;
             if n == 0 {
                 break;
             }
@@ -197,9 +221,15 @@ fn leaf_digest(
 /// the whole cache is flushed: some *other* pathname aliases the same inode
 /// and its digest changes too, but the alias's name is unknown without an
 /// inverse inode→paths index.
+///
+/// Digests are kept in path order, so a path's descendants (`path/…`) are
+/// one contiguous key range and invalidating them costs O(k log n) for k
+/// dropped entries, not a scan of the whole cache. Keys are `Arc<str>`:
+/// cloning the cache (a [`FingerprintStore`] snapshot diverging from the
+/// live cache) copies pointers, not path strings.
 #[derive(Debug, Clone, Default)]
 pub struct FingerprintCache {
-    map: HashMap<String, Digest128>,
+    map: BTreeMap<Arc<str>, Digest128>,
 }
 
 impl FingerprintCache {
@@ -228,7 +258,7 @@ impl FingerprintCache {
     }
 
     fn put(&mut self, path: &str, digest: Digest128) {
-        self.map.insert(path.to_string(), digest);
+        self.map.insert(path.into(), digest);
     }
 
     /// Invalidates the cache for an operation touching `touched` paths.
@@ -252,8 +282,23 @@ impl FingerprintCache {
 
     /// Invalidates one path, its cached descendants, and its ancestors.
     pub fn invalidate_path(&mut self, path: &str) {
-        self.map
-            .retain(|cached, _| !vfs::path::is_same_or_descendant(path, cached));
+        if vfs::path::is_root(path) {
+            // Everything descends from the root.
+            self.map.clear();
+            return;
+        }
+        self.map.remove(path);
+        let under = format!("{path}/");
+        let descendants: Vec<Arc<str>> = self
+            .map
+            .range::<str, _>((Bound::Included(under.as_str()), Bound::Unbounded))
+            .map(|(cached, _)| cached)
+            .take_while(|cached| cached.starts_with(&under))
+            .cloned()
+            .collect();
+        for cached in descendants {
+            self.map.remove(&cached);
+        }
         for anc in vfs::path::ancestors(path) {
             self.map.remove(anc);
         }
@@ -261,13 +306,10 @@ impl FingerprintCache {
 
     /// Visits every cached `(path, digest)` pair in path order — the
     /// canonical export order — without cloning the paths. Serializers
-    /// stream straight from this into their output buffer; only a vector of
-    /// path *references* is materialized for the sort.
+    /// stream straight from this into their output buffer.
     pub fn for_each_sorted(&self, mut f: impl FnMut(&str, u128)) {
-        let mut paths: Vec<&String> = self.map.keys().collect();
-        paths.sort_unstable();
-        for p in paths {
-            f(p, self.map[p].as_u128());
+        for (p, d) in &self.map {
+            f(p, d.as_u128());
         }
     }
 
@@ -287,12 +329,15 @@ impl FingerprintCache {
     /// configured target, or the next comparison will chase phantom
     /// divergences.
     pub fn load_entries(&mut self, entries: &[(String, u128)]) {
-        self.map.clear();
-        self.map.reserve(entries.len());
-        for (path, raw) in entries {
-            self.map
-                .insert(path.clone(), Digest128::from_bytes(raw.to_le_bytes()));
-        }
+        self.map = entries
+            .iter()
+            .map(|(path, raw)| {
+                (
+                    Arc::from(path.as_str()),
+                    Digest128::from_bytes(raw.to_le_bytes()),
+                )
+            })
+            .collect();
     }
 }
 

@@ -13,14 +13,14 @@ use std::collections::BTreeMap;
 use crate::pool::{FsOp, OpOutcome};
 
 /// The outcome class an operation landed in.
-fn outcome_class(outcome: &OpOutcome) -> String {
+fn outcome_class(outcome: &OpOutcome) -> &'static str {
     match outcome {
-        OpOutcome::Ok => "OK".to_string(),
-        OpOutcome::Data(_) => "OK(data)".to_string(),
-        OpOutcome::Attrs { .. } => "OK(attrs)".to_string(),
-        OpOutcome::Entries(_) => "OK(entries)".to_string(),
-        OpOutcome::Bytes(_) => "OK(bytes)".to_string(),
-        OpOutcome::Err(e) => e.name().to_string(),
+        OpOutcome::Ok => "OK",
+        OpOutcome::Data(_) => "OK(data)",
+        OpOutcome::Attrs { .. } => "OK(attrs)",
+        OpOutcome::Entries(_) => "OK(entries)",
+        OpOutcome::Bytes(_) => "OK(bytes)",
+        OpOutcome::Err(e) => e.name(),
     }
 }
 
@@ -41,7 +41,9 @@ fn outcome_class(outcome: &OpOutcome) -> String {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Coverage {
-    counts: BTreeMap<(String, String), u64>,
+    /// Keyed by `(op name, outcome class)`; both are static strings, so
+    /// recording a transition allocates nothing.
+    counts: BTreeMap<(&'static str, &'static str), u64>,
 }
 
 impl Coverage {
@@ -54,7 +56,7 @@ impl Coverage {
     pub fn record(&mut self, op: &FsOp, outcome: &OpOutcome) {
         *self
             .counts
-            .entry((op.name().to_string(), outcome_class(outcome)))
+            .entry((op.name(), outcome_class(outcome)))
             .or_insert(0) += 1;
     }
 
@@ -77,10 +79,8 @@ impl Coverage {
     }
 
     /// Iterates `(op, outcome class, count)` in deterministic order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &str, u64)> {
-        self.counts
-            .iter()
-            .map(|((op, class), n)| (op.as_str(), class.as_str(), *n))
+    pub fn iter(&self) -> impl Iterator<Item = (&'static str, &'static str, u64)> + '_ {
+        self.counts.iter().map(|(&(op, class), &n)| (op, class, n))
     }
 
     /// Renders a per-operation coverage table.
@@ -130,6 +130,51 @@ mod tests {
         assert!(s.contains("unlink"));
         assert!(s.contains("ENOENT"));
         assert!(s.contains("EISDIR"));
+    }
+
+    /// `iter` visits pairs in (op name, outcome class) byte order, with
+    /// their counts.
+    #[test]
+    fn iter_order_and_counts_are_pinned() {
+        let mut cov = Coverage::new();
+        let unlink = FsOp::Unlink { path: "/a".into() };
+        let stat = FsOp::Stat { path: "/a".into() };
+        let read = FsOp::ReadFile {
+            path: "/a".into(),
+            offset: 0,
+            size: 16,
+        };
+        let attrs = OpOutcome::Attrs {
+            ftype: '-',
+            mode: 0o644,
+            nlink: 1,
+            owner: (0, 0),
+            size: Some(1),
+        };
+        cov.record(&unlink, &OpOutcome::Ok);
+        cov.record(&stat, &attrs);
+        cov.record(&unlink, &OpOutcome::Err(Errno::ENOENT));
+        cov.record(&read, &OpOutcome::Data(vec![1]));
+        cov.record(&stat, &OpOutcome::Err(Errno::ENOENT));
+        cov.record(&unlink, &OpOutcome::Err(Errno::ENOENT));
+        cov.record(&read, &OpOutcome::Err(Errno::EISDIR));
+        cov.record(
+            &FsOp::Getdents { path: "/".into() },
+            &OpOutcome::Entries(vec![]),
+        );
+        let rows: Vec<_> = cov.iter().collect();
+        assert_eq!(
+            rows,
+            vec![
+                ("getdents", "OK(entries)", 1),
+                ("read_file", "EISDIR", 1),
+                ("read_file", "OK(data)", 1),
+                ("stat", "ENOENT", 1),
+                ("stat", "OK(attrs)", 1),
+                ("unlink", "ENOENT", 2),
+                ("unlink", "OK", 1),
+            ]
+        );
     }
 
     #[test]

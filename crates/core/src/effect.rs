@@ -192,7 +192,9 @@ impl EffectSig {
     /// paths).
     fn write_entry(&mut self, p: &str, tag: Option<u64>) {
         match path::split_parent(p) {
-            Ok((dir, name)) => self.write_exact(Place::Entry(dir, name.to_string()), tag),
+            Ok((dir, name)) => {
+                self.write_exact(Place::Entry(dir.to_string(), name.to_string()), tag)
+            }
             Err(_) => self.write_exact(Place::Global, None),
         }
     }
@@ -508,7 +510,7 @@ fn add_cache_effects(op: &FsOp, sig: &mut EffectSig) {
         if mutation {
             sig.write_exact(Place::Cache(p.to_string()), None);
             if let Ok((dir, _)) = path::split_parent(p) {
-                sig.write_exact(Place::Cache(dir), None);
+                sig.write_exact(Place::Cache(dir.to_string()), None);
             }
             for a in path::ancestors(p).iter().skip(1) {
                 if !path::is_root(a) {
@@ -841,11 +843,7 @@ impl EffectIndex {
                     !global && explain_sigs_concurrent(&sigs[i], &sigs[j]).is_independent();
             }
         }
-        let index = ops
-            .iter()
-            .enumerate()
-            .map(|(i, o)| (o.clone(), i))
-            .collect();
+        let index = ops.iter().enumerate().map(|(i, o)| (*o, i)).collect();
         EffectIndex {
             profile,
             index,

@@ -6,7 +6,7 @@
 //! violation with the precise operation sequence that led to it (§2).
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use blockdev::Clock;
 use mdigest::Digest128;
@@ -156,8 +156,13 @@ pub struct Mcfs {
     /// minimizer replay against factory products, never against this
     /// (already violated) instance.
     factory: Option<Arc<HarnessFactory>>,
-    /// Precomputed signature-derived independence over the filtered pool.
-    effects: EffectIndex,
+    /// Whether some target sits behind a caching kernel layer (an input to
+    /// the POR independence relation).
+    kernel_caches: bool,
+    /// Signature-derived independence over the filtered pool, built on the
+    /// first POR query: the matrix is quadratic in the pool, and runs
+    /// without POR never ask.
+    effects: OnceLock<EffectIndex>,
     /// The spill store the targets' checkpoint pools demote to (when
     /// [`McfsConfig::mem_budget`] is set); drained into the virtual clock
     /// after each operation so checkpoint page traffic costs virtual time.
@@ -251,15 +256,7 @@ impl Mcfs {
         for t in &mut targets {
             t.pre_op()?;
         }
-        // Derive the POR independence relation from the filtered pool: the
-        // alias classes come from the `Hardlink` ops that survived the
-        // capability intersection, and targets behind caching kernel
-        // layers make cache-filling reads count as kernel-state writes.
         let kernel_caches = targets.iter_mut().any(|t| t.fs_mut().caches_metadata());
-        let profile = EffectProfile::from_pool(&ops)
-            .with_kernel_caches(kernel_caches)
-            .with_atime(cfg.abstraction.include_atime);
-        let effects = EffectIndex::new(&ops, profile);
         let mut harness = Mcfs {
             targets,
             cfg,
@@ -275,7 +272,8 @@ impl Mcfs {
             fscks: 0,
             fsck_repairs: 0,
             factory: None,
-            effects,
+            kernel_caches,
+            effects: OnceLock::new(),
             ckpt_spill,
         };
         if harness.cfg.equalize_free_space {
@@ -301,7 +299,16 @@ impl Mcfs {
     /// The signature-derived independence matrix driving POR (see
     /// [`crate::effect`]).
     pub fn effect_index(&self) -> &EffectIndex {
-        &self.effects
+        self.effects.get_or_init(|| {
+            // Derived from the filtered pool: the alias classes come from
+            // the `Hardlink` ops that survived the capability intersection,
+            // and targets behind caching kernel layers make cache-filling
+            // reads count as kernel-state writes.
+            let profile = EffectProfile::from_pool(&self.ops)
+                .with_kernel_caches(self.kernel_caches)
+                .with_atime(self.cfg.abstraction.include_atime);
+            EffectIndex::new(&self.ops, profile)
+        })
     }
 
     /// Repair-oracle statistics, when [`McfsConfig::fsck_exploration`] is
@@ -323,11 +330,11 @@ impl Mcfs {
         // Recompute from the first target (all agree whenever apply
         // succeeded; before the first op this hashes the initial state).
         let _ = self.targets[0].pre_op();
-        let cfg = self.cfg.abstraction.clone();
+        let cfg = &self.cfg.abstraction;
         let h = if self.cfg.incremental_fingerprint {
-            self.targets[0].cached_abstract_state(&cfg)
+            self.targets[0].cached_abstract_state(cfg)
         } else {
-            abstract_state(self.targets[0].fs_mut(), &cfg)
+            abstract_state(self.targets[0].fs_mut(), cfg)
         }
         .map(|d| d.as_u128())
         .unwrap_or(u128::MAX);
@@ -447,15 +454,15 @@ impl Mcfs {
     }
 
     fn hash_all(&mut self) -> VfsResult<Vec<Digest128>> {
-        let cfg = self.cfg.abstraction.clone();
+        let cfg = &self.cfg.abstraction;
         let incremental = self.cfg.incremental_fingerprint;
         self.targets
             .iter_mut()
             .map(|t| {
                 if incremental {
-                    t.cached_abstract_state(&cfg)
+                    t.cached_abstract_state(cfg)
                 } else {
-                    abstract_state(t.fs_mut(), &cfg)
+                    abstract_state(t.fs_mut(), cfg)
                 }
             })
             .collect()
@@ -815,11 +822,15 @@ impl ModelSystem for Mcfs {
             }
         }
         // Phase 1: execute on every file system.
-        let exceptions = self.cfg.abstraction.exceptions.clone();
-        let sort_entries = self.cfg.abstraction.sort_entries;
+        let abstraction = &self.cfg.abstraction;
         let mut outcomes: Vec<OpOutcome> = Vec::with_capacity(self.targets.len());
         for t in &mut self.targets {
-            outcomes.push(execute_with(t.fs_mut(), op, &exceptions, sort_entries));
+            outcomes.push(execute_with(
+                t.fs_mut(),
+                op,
+                &abstraction.exceptions,
+                abstraction.sort_entries,
+            ));
         }
         self.charge(self.cfg.syscall_cpu_ns * self.targets.len() as u64);
         // Phase 2: integrity check — return values and error codes.
@@ -923,6 +934,7 @@ impl ModelSystem for Mcfs {
         for t in &mut self.targets {
             let _ = t.drop_state(id.0);
         }
+        self.ckpt_hashes.remove(&id.0);
     }
 
     fn pin(&mut self, id: StateId) {
@@ -982,7 +994,7 @@ impl ModelSystem for Mcfs {
     }
 
     fn independent(&self, a: &FsOp, b: &FsOp) -> bool {
-        self.effects.independent(a, b)
+        self.effect_index().independent(a, b)
     }
 }
 
@@ -1428,6 +1440,50 @@ mod tests {
         )
         .unwrap();
         assert!(m.op_pool().contains(&FsOp::Crash));
+    }
+
+    /// Released checkpoints drop their crash-window record: over
+    /// checkpoint/release churn the map holds only the live checkpoints.
+    #[test]
+    fn released_checkpoints_drop_their_crash_window_record() {
+        let mut a = VeriFs::v2();
+        a.mount().unwrap();
+        let mut b = VeriFs::v2();
+        b.mount().unwrap();
+        let mut m = Mcfs::new(
+            vec![
+                Box::new(CheckpointTarget::new(a)),
+                Box::new(CheckpointTarget::new(b)),
+            ],
+            McfsConfig {
+                crash_exploration: true,
+                ..McfsConfig::default()
+            },
+        )
+        .unwrap();
+        m.checkpoint(StateId(0)).unwrap();
+        for i in 1..=500u64 {
+            let op = FsOp::CreateFile {
+                path: ["/f0", "/f1"][i as usize % 2].into(),
+                mode: 0o644,
+            };
+            assert!(matches!(m.apply(&op), ApplyOutcome::Ok));
+            m.checkpoint(StateId(i)).unwrap();
+            m.restore(StateId(0)).unwrap();
+            m.release(StateId(i));
+            assert!(
+                m.ckpt_hashes.len() <= 2,
+                "{} records after {i} releases",
+                m.ckpt_hashes.len()
+            );
+        }
+        // Only the root checkpoint is live; restoring it still re-adopts
+        // its window.
+        assert_eq!(m.ckpt_hashes.len(), 1);
+        m.restore(StateId(0)).unwrap();
+        assert_eq!(m.prefix_hashes.len(), 1);
+        m.release(StateId(0));
+        assert!(m.ckpt_hashes.is_empty());
     }
 
     #[test]

@@ -30,7 +30,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use blockdev::Clock;
 use mdigest::Digest128;
@@ -164,7 +164,11 @@ pub struct ThreadedMcfs {
     setup: Vec<FsOp>,
     cfg: ThreadedMcfsConfig,
     clock: Option<Clock>,
-    effects: EffectIndex,
+    /// Whether some target sits behind a caching kernel layer (an input to
+    /// the POR independence relation).
+    kernel_caches: bool,
+    /// Built on the first POR query (see [`ThreadedMcfs::effect_index`]).
+    effects: OnceLock<EffectIndex>,
     /// Per-thread program counter: ops already issued.
     pcs: Vec<usize>,
     /// Interleaved execution so far: each scheduled step with the outcome
@@ -252,18 +256,7 @@ impl ThreadedMcfs {
         for t in &mut targets {
             t.pre_op()?;
         }
-        // The POR independence relation comes from every op any thread (or
-        // the setup) can issue, plus the crash step when explored.
-        let mut flat: Vec<FsOp> = setup.to_vec();
-        flat.extend(programs.iter().flatten().cloned());
-        if cfg.crash_exploration {
-            flat.push(FsOp::Crash);
-        }
         let kernel_caches = targets.iter_mut().any(|t| t.fs_mut().caches_metadata());
-        let profile = EffectProfile::from_pool(&flat)
-            .with_kernel_caches(kernel_caches)
-            .with_atime(cfg.abstraction.include_atime);
-        let effects = EffectIndex::new(&flat, profile);
 
         let thread_count = programs.len();
         let mut this = ThreadedMcfs {
@@ -272,7 +265,8 @@ impl ThreadedMcfs {
             setup,
             cfg,
             clock,
-            effects,
+            kernel_caches,
+            effects: OnceLock::new(),
             pcs: vec![0; thread_count],
             history: Vec::new(),
             prefix_hashes: Vec::new(),
@@ -322,7 +316,7 @@ impl ThreadedMcfs {
             if step.is_crash() {
                 cfg.crash_exploration = true;
             } else {
-                programs[step.tid as usize].push(step.op.clone());
+                programs[step.tid as usize].push(step.op);
             }
         }
         Self::with_clock_opt(targets, programs, Vec::new(), cfg, None)
@@ -366,9 +360,21 @@ impl ThreadedMcfs {
         &self.final_states
     }
 
-    /// The effect index backing POR decisions.
+    /// The effect index backing POR decisions, built on first use.
     pub fn effect_index(&self) -> &EffectIndex {
-        &self.effects
+        self.effects.get_or_init(|| {
+            // The POR independence relation comes from every op any thread
+            // (or the setup) can issue, plus the crash step when explored.
+            let mut flat = self.setup.clone();
+            flat.extend(self.programs.iter().flatten());
+            if self.cfg.crash_exploration {
+                flat.push(FsOp::Crash);
+            }
+            let profile = EffectProfile::from_pool(&flat)
+                .with_kernel_caches(self.kernel_caches)
+                .with_atime(self.cfg.abstraction.include_atime);
+            EffectIndex::new(&flat, profile)
+        })
     }
 
     fn thread_count(&self) -> usize {
@@ -405,10 +411,10 @@ impl ThreadedMcfs {
     }
 
     fn hash_all(&mut self) -> VfsResult<Vec<Digest128>> {
-        let cfg = self.cfg.abstraction.clone();
+        let cfg = &self.cfg.abstraction;
         self.targets
             .iter_mut()
-            .map(|t| abstract_state(t.fs_mut(), &cfg))
+            .map(|t| abstract_state(t.fs_mut(), cfg))
             .collect()
     }
 
@@ -458,8 +464,8 @@ impl ThreadedMcfs {
             return h.as_u128();
         }
         let _ = self.targets[0].pre_op();
-        let cfg = self.cfg.abstraction.clone();
-        let h = abstract_state(self.targets[0].fs_mut(), &cfg)
+        let cfg = &self.cfg.abstraction;
+        let h = abstract_state(self.targets[0].fs_mut(), cfg)
             .map(|d| d.as_u128())
             .unwrap_or(u128::MAX);
         let _ = self.targets[0].post_op();
@@ -587,12 +593,16 @@ impl ThreadedMcfs {
         if let Some(c) = &self.clock {
             c.set_active_lane(step.tid);
         }
-        let exceptions = self.cfg.abstraction.exceptions.clone();
-        let sort = self.cfg.abstraction.sort_entries;
+        let abstraction = &self.cfg.abstraction;
         let mut outcomes = Vec::with_capacity(self.targets.len());
         for tgt in &mut self.targets {
             tgt.fs_mut().set_active_thread(step.tid);
-            outcomes.push(execute_with(tgt.fs_mut(), &step.op, &exceptions, sort));
+            outcomes.push(execute_with(
+                tgt.fs_mut(),
+                &step.op,
+                &abstraction.exceptions,
+                abstraction.sort_entries,
+            ));
         }
         self.charge(self.cfg.syscall_cpu_ns * self.targets.len() as u64);
         if let Some(c) = &self.clock {
@@ -887,7 +897,7 @@ impl ModelSystem for ThreadedMcfs {
             if self.pcs[t] < prog.len() {
                 out.push(SchedStep {
                     tid: t as u16,
-                    op: prog[self.pcs[t]].clone(),
+                    op: prog[self.pcs[t]],
                 });
             }
         }
@@ -1009,7 +1019,7 @@ impl ModelSystem for ThreadedMcfs {
         if a.tid == b.tid || a.is_crash() || b.is_crash() {
             return false;
         }
-        self.effects.independent_concurrent(&a.op, &b.op)
+        self.effect_index().independent_concurrent(&a.op, &b.op)
     }
 
     /// A source set: close `{first enabled thread}` under "some future op
@@ -1022,6 +1032,7 @@ impl ModelSystem for ThreadedMcfs {
         if enabled.len() <= 1 || enabled.iter().any(|s| s.is_crash()) {
             return None;
         }
+        let effects = self.effect_index();
         let mut in_set = vec![false; enabled.len()];
         in_set[0] = true;
         loop {
@@ -1036,7 +1047,7 @@ impl ModelSystem for ThreadedMcfs {
                     in_set[i]
                         && future
                             .iter()
-                            .any(|op| !self.effects.independent_concurrent(op, &s.op))
+                            .any(|op| !effects.independent_concurrent(op, &s.op))
                 });
                 if conflicts {
                     in_set[j] = true;
@@ -1314,21 +1325,9 @@ mod tests {
             op_read("/f0", 0, 40),
         ];
         let t1 = [op_create("/b"), FsOp::Stat { path: "/b".into() }];
-        let mut sched: ThreadedTrace = t0
-            .iter()
-            .map(|op| SchedStep {
-                tid: 0,
-                op: op.clone(),
-            })
-            .collect();
+        let mut sched: ThreadedTrace = t0.iter().map(|op| SchedStep { tid: 0, op: *op }).collect();
         for (i, op) in t1.iter().enumerate() {
-            sched.insert(
-                2 * i + 1,
-                SchedStep {
-                    tid: 1,
-                    op: op.clone(),
-                },
-            );
+            sched.insert(2 * i + 1, SchedStep { tid: 1, op: *op });
         }
         sched
     }
@@ -1365,11 +1364,7 @@ mod tests {
         assert!(out.schedule.iter().all(|s| s.tid == 0), "fillers removed");
         // Program order preserved: the minimized schedule is a subsequence
         // of thread 0's program.
-        let prog: Vec<FsOp> = sched
-            .iter()
-            .filter(|s| s.tid == 0)
-            .map(|s| s.op.clone())
-            .collect();
+        let prog: Vec<FsOp> = sched.iter().filter(|s| s.tid == 0).map(|s| s.op).collect();
         let mut cursor = 0;
         for step in &out.schedule {
             let at = prog[cursor..]

@@ -86,7 +86,7 @@ pub use interleave::{
     shrink_threaded_trace, InterleaveStats, SchedStep, ThreadedHarnessFactory, ThreadedMcfs,
     ThreadedMcfsConfig, ThreadedShrinkOutcome, ThreadedTrace, CRASH_TID,
 };
-pub use pool::{execute, execute_with, pattern, FsOp, OpOutcome, PoolConfig};
+pub use pool::{execute, execute_with, pattern, FsOp, Name, OpOutcome, PoolConfig};
 pub use shrink::{
     buggy_verifs_factory, harness_with_factory, repair_mask, shrink_trace, ShrinkConfig,
     ShrinkOutcome,

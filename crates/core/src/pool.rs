@@ -13,21 +13,103 @@
 //! lurk" (§2), and their errnos are compared across file systems like any
 //! other result.
 
-use std::sync::Arc;
+use std::borrow::Borrow;
+use std::collections::HashSet;
+use std::fmt;
+use std::ops::Deref;
+use std::sync::{Mutex, OnceLock};
 
 use vfs::{
     AccessMode, Errno, FileMode, FileSystem, FileType, FsCapabilities, OpenFlags, VfsResult,
     XattrFlags,
 };
 
+/// An interned path or xattr name: the string type of every [`FsOp`] field.
+///
+/// A `Name` is a `&'static str` drawn from one process-wide intern table, so
+/// it is `Copy`: cloning or dropping an op touches no reference count, and
+/// cloning the harness's op set is one memcpy. It dereferences, hashes,
+/// compares, orders and formats (`Debug` and `Display`) exactly as the `str`
+/// it holds.
+///
+/// Each distinct string is leaked once per process, on its first
+/// conversion, and never freed. The leak is bounded by the number of
+/// distinct strings a process ever names in an op: the bounded pool's paths
+/// and xattr names (a few dozen short strings), plus whatever a test, a
+/// shrunk trace or a decoded pickle spells out. Nothing mints names per
+/// transition.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Name(&'static str);
+
+impl Name {
+    /// Interns `s`, leaking one copy the first time it is seen.
+    pub fn new(s: &str) -> Name {
+        static TABLE: OnceLock<Mutex<HashSet<&'static str>>> = OnceLock::new();
+        let mut table = TABLE
+            .get_or_init(Mutex::default)
+            .lock()
+            .expect("name intern table poisoned");
+        if let Some(&interned) = table.get(s) {
+            return Name(interned);
+        }
+        let leaked: &'static str = Box::leak(s.into());
+        table.insert(leaked);
+        Name(leaked)
+    }
+}
+
+impl Deref for Name {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        self.0
+    }
+}
+
+impl AsRef<str> for Name {
+    fn as_ref(&self) -> &str {
+        self.0
+    }
+}
+
+impl Borrow<str> for Name {
+    fn borrow(&self) -> &str {
+        self.0
+    }
+}
+
+impl fmt::Debug for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.0, f)
+    }
+}
+
+impl fmt::Display for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(self.0, f)
+    }
+}
+
+impl From<&str> for Name {
+    fn from(s: &str) -> Name {
+        Name::new(s)
+    }
+}
+
+impl From<String> for Name {
+    fn from(s: String) -> Name {
+        Name::new(&s)
+    }
+}
+
 /// One nondeterministic operation with concrete parameters.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum FsOp {
     /// Meta-op: `creat(path, mode)` then `close` (paper §4).
     CreateFile {
         /// Target path.
-        path: Arc<str>,
+        path: Name,
         /// Permission bits.
         mode: u16,
     },
@@ -35,7 +117,7 @@ pub enum FsOp {
     /// `close`.
     WriteFile {
         /// Target path.
-        path: Arc<str>,
+        path: Name,
         /// Absolute write offset.
         offset: u64,
         /// Bytes written.
@@ -46,53 +128,53 @@ pub enum FsOp {
     /// `truncate(path, size)`.
     Truncate {
         /// Target path.
-        path: Arc<str>,
+        path: Name,
         /// New size.
         size: u64,
     },
     /// `mkdir(path, mode)`.
     Mkdir {
         /// Target path.
-        path: Arc<str>,
+        path: Name,
         /// Permission bits.
         mode: u16,
     },
     /// `rmdir(path)`.
     Rmdir {
         /// Target path.
-        path: Arc<str>,
+        path: Name,
     },
     /// `unlink(path)`.
     Unlink {
         /// Target path.
-        path: Arc<str>,
+        path: Name,
     },
     /// `rename(src, dst)`.
     Rename {
         /// Source path.
-        src: Arc<str>,
+        src: Name,
         /// Destination path.
-        dst: Arc<str>,
+        dst: Name,
     },
     /// `link(existing, new)`.
     Hardlink {
         /// Existing file.
-        src: Arc<str>,
+        src: Name,
         /// New link path.
-        dst: Arc<str>,
+        dst: Name,
     },
     /// `symlink(target, linkpath)`.
     Symlink {
         /// Link target (stored verbatim).
-        target: Arc<str>,
+        target: Name,
         /// Where the link is created.
-        linkpath: Arc<str>,
+        linkpath: Name,
     },
     /// Meta-op: `open`, `lseek`, `read(size)`, `close`; the data read is part
     /// of the compared outcome.
     ReadFile {
         /// Target path.
-        path: Arc<str>,
+        path: Name,
         /// Absolute read offset.
         offset: u64,
         /// Bytes to read.
@@ -101,40 +183,40 @@ pub enum FsOp {
     /// `lstat(path)`; the important attributes are compared.
     Stat {
         /// Target path.
-        path: Arc<str>,
+        path: Name,
     },
     /// `getdents(path)`; entries are sorted before comparison (§3.4).
     Getdents {
         /// Target path.
-        path: Arc<str>,
+        path: Name,
     },
     /// `chmod(path, mode)`.
     Chmod {
         /// Target path.
-        path: Arc<str>,
+        path: Name,
         /// New permission bits.
         mode: u16,
     },
     /// `setxattr(path, name, value)`.
     SetXattr {
         /// Target path.
-        path: Arc<str>,
+        path: Name,
         /// Attribute name.
-        name: Arc<str>,
+        name: Name,
         /// Seed for the deterministic value bytes.
         seed: u8,
     },
     /// `removexattr(path, name)`.
     RemoveXattr {
         /// Target path.
-        path: Arc<str>,
+        path: Name,
         /// Attribute name.
-        name: Arc<str>,
+        name: Name,
     },
     /// `access(path, R_OK|W_OK)`.
     Access {
         /// Target path.
-        path: Arc<str>,
+        path: Name,
     },
     /// Pseudo-op: a power cut and reboot between operations. All in-memory
     /// file-system state and unflushed device writes are lost, then every
@@ -488,10 +570,7 @@ impl PoolConfig {
     /// Generates the full bounded operation set (before capability
     /// filtering).
     pub fn ops(&self) -> Vec<FsOp> {
-        // One shared allocation per pool string: every op naming a path
-        // holds a reference to it, so cloning the set is refcount bumps.
-        let interned =
-            |v: &[String]| -> Vec<Arc<str>> { v.iter().map(|s| s.as_str().into()).collect() };
+        let interned = |v: &[String]| -> Vec<Name> { v.iter().map(|s| Name::new(s)).collect() };
         let (files, dirs, xattr_names) = (
             interned(&self.files),
             interned(&self.dirs),
@@ -500,85 +579,73 @@ impl PoolConfig {
         let mut out = Vec::new();
         for f in &files {
             for &m in &self.modes {
-                out.push(FsOp::CreateFile {
-                    path: f.clone(),
-                    mode: m,
-                });
+                out.push(FsOp::CreateFile { path: *f, mode: m });
             }
             for &size in &self.sizes {
                 for &offset in &self.offsets {
                     for &seed in &self.seeds {
                         out.push(FsOp::WriteFile {
-                            path: f.clone(),
+                            path: *f,
                             offset,
                             size,
                             seed,
                         });
                     }
                     out.push(FsOp::ReadFile {
-                        path: f.clone(),
+                        path: *f,
                         offset,
                         size: size.max(16),
                     });
                 }
-                out.push(FsOp::Truncate {
-                    path: f.clone(),
-                    size,
-                });
+                out.push(FsOp::Truncate { path: *f, size });
             }
-            out.push(FsOp::Unlink { path: f.clone() });
-            out.push(FsOp::Stat { path: f.clone() });
+            out.push(FsOp::Unlink { path: *f });
+            out.push(FsOp::Stat { path: *f });
             for &m in &self.modes {
-                out.push(FsOp::Chmod {
-                    path: f.clone(),
-                    mode: m,
-                });
+                out.push(FsOp::Chmod { path: *f, mode: m });
             }
             for name in &xattr_names {
                 for &seed in &self.seeds {
                     out.push(FsOp::SetXattr {
-                        path: f.clone(),
-                        name: name.clone(),
+                        path: *f,
+                        name: *name,
                         seed,
                     });
                 }
                 out.push(FsOp::RemoveXattr {
-                    path: f.clone(),
-                    name: name.clone(),
+                    path: *f,
+                    name: *name,
                 });
             }
-            out.push(FsOp::Access { path: f.clone() });
+            out.push(FsOp::Access { path: *f });
         }
         for d in &dirs {
             for &m in &self.modes {
-                out.push(FsOp::Mkdir {
-                    path: d.clone(),
-                    mode: m,
-                });
+                out.push(FsOp::Mkdir { path: *d, mode: m });
             }
-            out.push(FsOp::Rmdir { path: d.clone() });
-            out.push(FsOp::Getdents { path: d.clone() });
-            out.push(FsOp::Stat { path: d.clone() });
+            out.push(FsOp::Rmdir { path: *d });
+            out.push(FsOp::Getdents { path: *d });
+            out.push(FsOp::Stat { path: *d });
         }
         out.push(FsOp::Getdents { path: "/".into() });
         // Renames and links between the first few files/dirs.
         for (i, src) in files.iter().enumerate() {
             for dst in files.iter().skip(i + 1) {
                 out.push(FsOp::Rename {
-                    src: src.clone(),
-                    dst: dst.clone(),
+                    src: *src,
+                    dst: *dst,
                 });
                 out.push(FsOp::Hardlink {
-                    src: src.clone(),
-                    dst: dst.clone(),
+                    src: *src,
+                    dst: *dst,
                 });
             }
         }
         if let (Some(f), Some(l)) = (files.first(), files.get(1)) {
-            let linkpath: Arc<str> = format!("{l}.ln").into();
+            let linkpath = Name::from(format!("{l}.ln"));
             out.push(FsOp::Symlink {
-                target: f.clone(),
-                linkpath: linkpath.clone(),
+                target: *f,
+                linkpath,
             });
             out.push(FsOp::Unlink { path: linkpath });
         }
@@ -590,6 +657,20 @@ impl PoolConfig {
 mod tests {
     use super::*;
     use verifs::VeriFs;
+
+    #[test]
+    fn names_intern_once_and_behave_as_their_str() {
+        let a = Name::from("/intern-probe");
+        let b = Name::from(String::from("/intern-probe"));
+        assert!(std::ptr::eq(a.as_ptr(), b.as_ptr()), "one copy per string");
+        let map: std::collections::HashMap<Name, u8> = [(a, 1)].into();
+        assert_eq!(map.get("/intern-probe"), Some(&1), "Borrow<str> lookups");
+        assert!(Name::from("/a/c") < Name::from("/b"), "ordered by content");
+        assert_eq!(
+            format!("{a:?} {a}"),
+            format!("{:?} {}", "/intern-probe", "/intern-probe")
+        );
+    }
 
     #[test]
     fn pattern_is_deterministic_and_seed_sensitive() {

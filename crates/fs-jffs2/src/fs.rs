@@ -553,7 +553,7 @@ impl Jffs2Fs {
     fn resolve_parent<'p>(&self, p: &'p str) -> VfsResult<(u32, &'p str)> {
         path::validate(p)?;
         let (parent, name) = path::split_parent(p)?;
-        let parent_ino = self.resolve(&parent)?;
+        let parent_ino = self.resolve(parent)?;
         if self.info(parent_ino)?.ftype != FT_DIR {
             return Err(Errno::ENOTDIR);
         }

@@ -895,7 +895,7 @@ impl<D: BlockDevice> Xcore<'_, D> {
     fn resolve_parent<'p>(&mut self, p: &'p str) -> VfsResult<(u32, &'p str)> {
         path::validate(p)?;
         let (parent, name) = path::split_parent(p)?;
-        let parent_ino = self.resolve(&parent)?;
+        let parent_ino = self.resolve(parent)?;
         if self.inode(parent_ino)?.ftype != FT_DIR {
             return Err(Errno::ENOTDIR);
         }

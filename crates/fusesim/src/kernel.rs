@@ -63,21 +63,57 @@ struct Timed<T> {
     expires_ns: u64,
 }
 
+/// One directory's cached entries: `name -> Some(child ino)` or `None`
+/// (negative dentry).
+type DirEntries = HashMap<Box<str>, Timed<Option<u64>>>;
+
 /// Kernel cache state shared between the mount and the invalidation
 /// connection.
 #[derive(Debug, Default)]
 struct KernelCaches {
-    /// `(parent ino, name) -> Some(child ino)` or `None` (negative dentry).
-    dentries: HashMap<(u64, String), Timed<Option<u64>>>,
+    /// The dentry cache, `parent ino -> name -> entry`: nested so that a
+    /// probe borrows the name instead of building a `(u64, String)` key.
+    dentries: HashMap<u64, DirEntries>,
     attrs: HashMap<u64, Timed<FileStat>>,
     invalidations: u64,
 }
 
 impl KernelCaches {
     fn clear(&mut self) {
-        self.invalidations += (self.dentries.len() + self.attrs.len()) as u64;
+        self.invalidations += (self.dentry_count() + self.attrs.len()) as u64;
         self.dentries.clear();
         self.attrs.clear();
+    }
+
+    fn dentry_count(&self) -> usize {
+        self.dentries.values().map(HashMap::len).sum()
+    }
+
+    fn dentry(&self, parent: u64, name: &str) -> Option<&Timed<Option<u64>>> {
+        self.dentries.get(&parent)?.get(name)
+    }
+
+    /// Inserts or refreshes one entry; only a new name allocates.
+    fn put_dentry(&mut self, parent: u64, name: &str, entry: Timed<Option<u64>>) {
+        let dir = self.dentries.entry(parent).or_default();
+        match dir.get_mut(name) {
+            Some(slot) => *slot = entry,
+            None => {
+                dir.insert(name.into(), entry);
+            }
+        }
+    }
+
+    /// Removes one entry, reporting whether it was cached.
+    fn remove_dentry(&mut self, parent: u64, name: &str) -> bool {
+        let Some(dir) = self.dentries.get_mut(&parent) else {
+            return false;
+        };
+        let removed = dir.remove(name).is_some();
+        if dir.is_empty() {
+            self.dentries.remove(&parent);
+        }
+        removed
     }
 }
 
@@ -127,7 +163,7 @@ impl InvalidationSink for FuseConn {
     fn invalidate_entry(&self, parent: u64, name: &str) {
         let mut c = self.caches.lock().expect("cache lock poisoned");
         for v in &mut c.views {
-            if v.dentries.remove(&(parent, name.to_string())).is_some() {
+            if v.remove_dentry(parent, name) {
                 v.invalidations += 1;
             }
         }
@@ -139,10 +175,13 @@ impl InvalidationSink for FuseConn {
             if v.attrs.remove(&ino).is_some() {
                 v.invalidations += 1;
             }
-            let before = v.dentries.len();
-            v.dentries
-                .retain(|(parent, _), child| *parent != ino && child.value != Some(ino));
-            let removed = before - v.dentries.len();
+            let mut removed = v.dentries.remove(&ino).map_or(0, |dir| dir.len());
+            v.dentries.retain(|_, dir| {
+                let before = dir.len();
+                dir.retain(|_, child| child.value != Some(ino));
+                removed += before - dir.len();
+                !dir.is_empty()
+            });
             v.invalidations += removed as u64;
         }
     }
@@ -240,8 +279,7 @@ impl<F: FileSystem> FuseMount<F> {
             .lock()
             .expect("cache lock poisoned")
             .active()
-            .dentries
-            .len()
+            .dentry_count()
     }
 
     fn now(&self) -> u64 {
@@ -265,26 +303,39 @@ impl<F: FileSystem> FuseMount<F> {
     }
 
     fn cache_dentry(&mut self, parent: u64, name: &str, child: Option<u64>) {
+        self.cache_dentries(parent, [(name, child)]);
+    }
+
+    /// Caches entries of one directory under a single lock and expiry stamp
+    /// (readdirplus primes a whole listing at once).
+    fn cache_dentries<'n>(
+        &mut self,
+        parent: u64,
+        entries: impl IntoIterator<Item = (&'n str, Option<u64>)>,
+    ) {
         let expires_ns = self.expiry(self.config.entry_ttl_ns);
         let broadcast = self.config.broadcast_local_invalidation;
         let mut c = self.caches.lock().expect("cache lock poisoned");
         let active = c.active;
-        if broadcast {
-            // Other threads' views must not keep a now-superseded entry;
-            // they refetch on their next lookup.
-            for (i, v) in c.views.iter_mut().enumerate() {
-                if i != active {
-                    v.dentries.remove(&(parent, name.to_string()));
+        for (name, child) in entries {
+            if broadcast {
+                // Other threads' views must not keep a now-superseded entry;
+                // they refetch on their next lookup.
+                for (i, v) in c.views.iter_mut().enumerate() {
+                    if i != active {
+                        v.remove_dentry(parent, name);
+                    }
                 }
             }
+            c.views[active].put_dentry(
+                parent,
+                name,
+                Timed {
+                    value: child,
+                    expires_ns,
+                },
+            );
         }
-        c.views[active].dentries.insert(
-            (parent, name.to_string()),
-            Timed {
-                value: child,
-                expires_ns,
-            },
-        );
     }
 
     fn cache_attr(&mut self, stat: FileStat) {
@@ -312,8 +363,7 @@ impl<F: FileSystem> FuseMount<F> {
         let now = self.now();
         let c = self.caches.lock().expect("cache lock poisoned");
         c.active()
-            .dentries
-            .get(&(parent, name.to_string()))
+            .dentry(parent, name)
             .filter(|t| t.expires_ns > now)
             .map(|t| t.value)
     }
@@ -346,11 +396,11 @@ impl<F: FileSystem> FuseMount<F> {
         let mut c = self.caches.lock().expect("cache lock poisoned");
         if broadcast {
             for v in &mut c.views {
-                v.dentries.remove(&(parent, name.to_string()));
+                v.remove_dentry(parent, name);
             }
         } else {
             let active = c.active;
-            c.views[active].dentries.remove(&(parent, name.to_string()));
+            c.views[active].remove_dentry(parent, name);
         }
     }
 
@@ -359,16 +409,20 @@ impl<F: FileSystem> FuseMount<F> {
     fn resolve(&mut self, p: &str) -> VfsResult<u64> {
         path::validate(p)?;
         let mut cur = Ino::ROOT.0;
-        let mut prefix = String::from("");
-        for comp in path::components(p) {
-            prefix.push('/');
-            prefix.push_str(comp);
+        if path::is_root(p) {
+            return Ok(cur);
+        }
+        // Each component ends where its path prefix ends, so a lookup sends
+        // a slice of `p` itself.
+        let mut end = 0;
+        for comp in p[1..].split('/') {
+            end += 1 + comp.len();
             match self.cached_dentry(cur, comp) {
                 Some(Some(child)) => cur = child,
                 Some(None) => return Err(Errno::ENOENT),
                 None => {
-                    let lookup_path = prefix.clone();
-                    let res = self.send(FuseOpKind::Lookup, |fs| fs.stat(&lookup_path));
+                    let prefix = &p[..end];
+                    let res = self.send(FuseOpKind::Lookup, |fs| fs.stat(prefix));
                     match res {
                         Ok(st) => {
                             self.cache_dentry(cur, comp, Some(st.ino.0));
@@ -391,7 +445,7 @@ impl<F: FileSystem> FuseMount<F> {
     fn resolve_parent<'p>(&mut self, p: &'p str) -> VfsResult<(u64, &'p str)> {
         path::validate(p)?;
         let (parent, name) = path::split_parent(p)?;
-        let parent_ino = self.resolve(&parent)?;
+        let parent_ino = self.resolve(parent)?;
         Ok((parent_ino, name))
     }
 }
@@ -462,7 +516,10 @@ impl<F: FileSystem> FileSystem for FuseMount<F> {
             let mut entries: Vec<String> = v
                 .dentries
                 .iter()
-                .map(|((parent, name), t)| format!("d{parent}/{name}={:?}", t.value))
+                .flat_map(|(parent, dir)| {
+                    dir.iter()
+                        .map(move |(name, t)| format!("d{parent}/{name}={:?}", t.value))
+                })
                 .collect();
             entries.extend(
                 v.attrs
@@ -499,10 +556,9 @@ impl<F: FileSystem> FileSystem for FuseMount<F> {
         if let Some(Some(_)) = self.cached_dentry(parent, name) {
             return Err(Errno::EEXIST);
         }
-        let path_owned = p.to_string();
         let res = self.send(FuseOpKind::Create, |fs| {
-            let fd = fs.create(&path_owned, mode)?;
-            let st = fs.stat(&path_owned)?;
+            let fd = fs.create(p, mode)?;
+            let st = fs.stat(p)?;
             Ok((fd, st))
         });
         let (fd, st) = res?;
@@ -522,16 +578,15 @@ impl<F: FileSystem> FileSystem for FuseMount<F> {
                 _ => {}
             }
         }
-        let path_owned = p.to_string();
         let res = self.send(FuseOpKind::Open, |fs| {
-            let fd = fs.open(&path_owned, flags, mode)?;
-            let st = fs.stat(&path_owned)?;
+            let fd = fs.open(p, flags, mode)?;
+            let st = fs.stat(p)?;
             Ok((fd, st))
         });
         let (fd, st) = res?;
         if !path::is_root(p) {
             let (parent, name) = path::split_parent(p)?;
-            let parent_ino = self.resolve(&parent)?;
+            let parent_ino = self.resolve(parent)?;
             self.cache_dentry(parent_ino, name, Some(st.ino.0));
         }
         self.cache_attr(st);
@@ -565,8 +620,7 @@ impl<F: FileSystem> FileSystem for FuseMount<F> {
 
     fn truncate(&mut self, p: &str, size: u64) -> VfsResult<()> {
         let ino = self.resolve(p)?;
-        let path_owned = p.to_string();
-        let res = self.send(FuseOpKind::Setattr, |fs| fs.truncate(&path_owned, size));
+        let res = self.send(FuseOpKind::Setattr, |fs| fs.truncate(p, size));
         if res.is_ok() {
             self.drop_attr(ino);
         }
@@ -581,10 +635,9 @@ impl<F: FileSystem> FileSystem for FuseMount<F> {
             // observable symptom).
             return Err(Errno::EEXIST);
         }
-        let path_owned = p.to_string();
         let res = self.send(FuseOpKind::Mkdir, |fs| {
-            fs.mkdir(&path_owned, mode)?;
-            fs.stat(&path_owned)
+            fs.mkdir(p, mode)?;
+            fs.stat(p)
         });
         let st = res?;
         self.cache_dentry(parent, name, Some(st.ino.0));
@@ -598,8 +651,7 @@ impl<F: FileSystem> FileSystem for FuseMount<F> {
             return Err(Errno::ENOENT);
         }
         let removed_ino = self.cached_dentry(parent, name).flatten();
-        let path_owned = p.to_string();
-        let res = self.send(FuseOpKind::Rmdir, |fs| fs.rmdir(&path_owned));
+        let res = self.send(FuseOpKind::Rmdir, |fs| fs.rmdir(p));
         if res.is_ok() {
             self.cache_dentry(parent, name, None);
             if let Some(ino) = removed_ino {
@@ -615,8 +667,7 @@ impl<F: FileSystem> FileSystem for FuseMount<F> {
             return Err(Errno::ENOENT);
         }
         let removed_ino = self.cached_dentry(parent, name).flatten();
-        let path_owned = p.to_string();
-        let res = self.send(FuseOpKind::Unlink, |fs| fs.unlink(&path_owned));
+        let res = self.send(FuseOpKind::Unlink, |fs| fs.unlink(p));
         if res.is_ok() {
             self.cache_dentry(parent, name, None);
             if let Some(ino) = removed_ino {
@@ -631,27 +682,25 @@ impl<F: FileSystem> FileSystem for FuseMount<F> {
         if let Some(st) = self.cached_attr(ino) {
             return Ok(st);
         }
-        let path_owned = p.to_string();
-        let st = self.send(FuseOpKind::Getattr, |fs| fs.stat(&path_owned))?;
+        let st = self.send(FuseOpKind::Getattr, |fs| fs.stat(p))?;
         self.cache_attr(st);
         Ok(st)
     }
 
     fn getdents(&mut self, p: &str) -> VfsResult<Vec<DirEntry>> {
         let dir_ino = self.resolve(p)?;
-        let path_owned = p.to_string();
-        let entries = self.send(FuseOpKind::Readdir, |fs| fs.getdents(&path_owned))?;
+        let entries = self.send(FuseOpKind::Readdir, |fs| fs.getdents(p))?;
         // readdirplus: listing a directory primes the dentry cache.
-        for e in &entries {
-            self.cache_dentry(dir_ino, &e.name, Some(e.ino.0));
-        }
+        self.cache_dentries(
+            dir_ino,
+            entries.iter().map(|e| (e.name.as_str(), Some(e.ino.0))),
+        );
         Ok(entries)
     }
 
     fn chmod(&mut self, p: &str, mode: FileMode) -> VfsResult<()> {
         let ino = self.resolve(p)?;
-        let path_owned = p.to_string();
-        let res = self.send(FuseOpKind::Setattr, |fs| fs.chmod(&path_owned, mode));
+        let res = self.send(FuseOpKind::Setattr, |fs| fs.chmod(p, mode));
         if res.is_ok() {
             self.drop_attr(ino);
         }
@@ -660,8 +709,7 @@ impl<F: FileSystem> FileSystem for FuseMount<F> {
 
     fn chown(&mut self, p: &str, uid: u32, gid: u32) -> VfsResult<()> {
         let ino = self.resolve(p)?;
-        let path_owned = p.to_string();
-        let res = self.send(FuseOpKind::Setattr, |fs| fs.chown(&path_owned, uid, gid));
+        let res = self.send(FuseOpKind::Setattr, |fs| fs.chown(p, uid, gid));
         if res.is_ok() {
             self.drop_attr(ino);
         }
@@ -670,10 +718,7 @@ impl<F: FileSystem> FileSystem for FuseMount<F> {
 
     fn utimens(&mut self, p: &str, atime: u64, mtime: u64) -> VfsResult<()> {
         let ino = self.resolve(p)?;
-        let path_owned = p.to_string();
-        let res = self.send(FuseOpKind::Setattr, |fs| {
-            fs.utimens(&path_owned, atime, mtime)
-        });
+        let res = self.send(FuseOpKind::Setattr, |fs| fs.utimens(p, atime, mtime));
         if res.is_ok() {
             self.drop_attr(ino);
         }
@@ -695,9 +740,7 @@ impl<F: FileSystem> FileSystem for FuseMount<F> {
             Some(existing) => existing,
             None => self.resolve(dst).ok(),
         };
-        let src_owned = src.to_string();
-        let dst_owned = dst.to_string();
-        let res = self.send(FuseOpKind::Rename, |fs| fs.rename(&src_owned, &dst_owned));
+        let res = self.send(FuseOpKind::Rename, |fs| fs.rename(src, dst));
         if res.is_ok() {
             // The kernel drops both dentries; the next lookup refetches.
             self.drop_dentry(sparent, sname);
@@ -712,9 +755,7 @@ impl<F: FileSystem> FileSystem for FuseMount<F> {
     fn link(&mut self, existing: &str, new: &str) -> VfsResult<()> {
         let src_ino = self.resolve(existing)?;
         let (nparent, nname) = self.resolve_parent(new)?;
-        let ex_owned = existing.to_string();
-        let new_owned = new.to_string();
-        let res = self.send(FuseOpKind::Link, |fs| fs.link(&ex_owned, &new_owned));
+        let res = self.send(FuseOpKind::Link, |fs| fs.link(existing, new));
         if res.is_ok() {
             self.cache_dentry(nparent, nname, Some(src_ino));
             self.drop_attr(src_ino); // nlink changed
@@ -724,11 +765,9 @@ impl<F: FileSystem> FileSystem for FuseMount<F> {
 
     fn symlink(&mut self, target: &str, linkpath: &str) -> VfsResult<()> {
         let (parent, name) = self.resolve_parent(linkpath)?;
-        let t_owned = target.to_string();
-        let l_owned = linkpath.to_string();
         let res = self.send(FuseOpKind::Symlink, |fs| {
-            fs.symlink(&t_owned, &l_owned)?;
-            fs.stat(&l_owned)
+            fs.symlink(target, linkpath)?;
+            fs.stat(linkpath)
         });
         let st = res?;
         self.cache_dentry(parent, name, Some(st.ino.0));
@@ -737,33 +776,27 @@ impl<F: FileSystem> FileSystem for FuseMount<F> {
     }
 
     fn readlink(&mut self, p: &str) -> VfsResult<String> {
-        let path_owned = p.to_string();
-        self.send(FuseOpKind::Readlink, |fs| fs.readlink(&path_owned))
+        self.send(FuseOpKind::Readlink, |fs| fs.readlink(p))
     }
 
     fn access(&mut self, p: &str, mode: AccessMode) -> VfsResult<()> {
-        let path_owned = p.to_string();
-        self.send(FuseOpKind::Access, |fs| fs.access(&path_owned, mode))
+        self.send(FuseOpKind::Access, |fs| fs.access(p, mode))
     }
 
     fn setxattr(&mut self, p: &str, name: &str, value: &[u8], flags: XattrFlags) -> VfsResult<()> {
-        let (p, n, v) = (p.to_string(), name.to_string(), value.to_vec());
-        self.send(FuseOpKind::Xattr, |fs| fs.setxattr(&p, &n, &v, flags))
+        self.send(FuseOpKind::Xattr, |fs| fs.setxattr(p, name, value, flags))
     }
 
     fn getxattr(&mut self, p: &str, name: &str) -> VfsResult<Vec<u8>> {
-        let (p, n) = (p.to_string(), name.to_string());
-        self.send(FuseOpKind::Xattr, |fs| fs.getxattr(&p, &n))
+        self.send(FuseOpKind::Xattr, |fs| fs.getxattr(p, name))
     }
 
     fn listxattr(&mut self, p: &str) -> VfsResult<Vec<String>> {
-        let p = p.to_string();
-        self.send(FuseOpKind::Xattr, |fs| fs.listxattr(&p))
+        self.send(FuseOpKind::Xattr, |fs| fs.listxattr(p))
     }
 
     fn removexattr(&mut self, p: &str, name: &str) -> VfsResult<()> {
-        let (p, n) = (p.to_string(), name.to_string());
-        self.send(FuseOpKind::Xattr, |fs| fs.removexattr(&p, &n))
+        self.send(FuseOpKind::Xattr, |fs| fs.removexattr(p, name))
     }
 }
 

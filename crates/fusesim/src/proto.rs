@@ -6,8 +6,6 @@
 //! that per-message cost is part of why the paper's FUSE configurations
 //! behave the way they do.
 
-use std::collections::BTreeMap;
-
 /// The kind of a FUSE request, used for traffic statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[non_exhaustive]
@@ -58,6 +56,34 @@ pub enum FuseOpKind {
     Lseek,
 }
 
+impl FuseOpKind {
+    /// Every kind, in declaration (and `Ord`) order.
+    const ALL: [FuseOpKind; 22] = [
+        FuseOpKind::Lookup,
+        FuseOpKind::Getattr,
+        FuseOpKind::Create,
+        FuseOpKind::Open,
+        FuseOpKind::Release,
+        FuseOpKind::Read,
+        FuseOpKind::Write,
+        FuseOpKind::Setattr,
+        FuseOpKind::Mkdir,
+        FuseOpKind::Rmdir,
+        FuseOpKind::Unlink,
+        FuseOpKind::Readdir,
+        FuseOpKind::Rename,
+        FuseOpKind::Link,
+        FuseOpKind::Symlink,
+        FuseOpKind::Readlink,
+        FuseOpKind::Access,
+        FuseOpKind::Xattr,
+        FuseOpKind::Statfs,
+        FuseOpKind::Fsync,
+        FuseOpKind::Ioctl,
+        FuseOpKind::Lseek,
+    ];
+}
+
 impl std::fmt::Display for FuseOpKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{self:?}")
@@ -67,7 +93,8 @@ impl std::fmt::Display for FuseOpKind {
 /// Per-kind request counters for one FUSE connection.
 #[derive(Debug, Clone, Default)]
 pub struct FuseTraffic {
-    counts: BTreeMap<FuseOpKind, u64>,
+    /// Indexed by the kind's discriminant.
+    counts: [u64; FuseOpKind::ALL.len()],
 }
 
 impl FuseTraffic {
@@ -78,22 +105,26 @@ impl FuseTraffic {
 
     /// Records one request of `kind`.
     pub fn record(&mut self, kind: FuseOpKind) {
-        *self.counts.entry(kind).or_insert(0) += 1;
+        self.counts[kind as usize] += 1;
     }
 
     /// Requests of `kind` so far.
     pub fn count(&self, kind: FuseOpKind) -> u64 {
-        self.counts.get(&kind).copied().unwrap_or(0)
+        self.counts[kind as usize]
     }
 
     /// Total requests across all kinds.
     pub fn total(&self) -> u64 {
-        self.counts.values().sum()
+        self.counts.iter().sum()
     }
 
-    /// Iterates `(kind, count)` pairs in kind order.
+    /// Iterates the `(kind, count)` pairs of every kind seen so far, in
+    /// kind order.
     pub fn iter(&self) -> impl Iterator<Item = (FuseOpKind, u64)> + '_ {
-        self.counts.iter().map(|(k, v)| (*k, *v))
+        FuseOpKind::ALL
+            .into_iter()
+            .zip(self.counts)
+            .filter(|&(_, n)| n > 0)
     }
 }
 
@@ -113,5 +144,21 @@ mod tests {
         assert_eq!(t.total(), 3);
         let kinds: Vec<_> = t.iter().map(|(k, _)| k).collect();
         assert_eq!(kinds, vec![FuseOpKind::Lookup, FuseOpKind::Write]);
+    }
+
+    #[test]
+    fn every_kind_indexes_its_own_counter() {
+        let mut t = FuseTraffic::new();
+        for (i, kind) in FuseOpKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i, "ALL is in discriminant order");
+            for _ in 0..=i {
+                t.record(kind);
+            }
+        }
+        for (i, (kind, n)) in t.iter().enumerate() {
+            assert_eq!(kind, FuseOpKind::ALL[i]);
+            assert_eq!(n, i as u64 + 1);
+        }
+        assert!(FuseOpKind::ALL.windows(2).all(|w| w[0] < w[1]));
     }
 }

@@ -375,7 +375,7 @@ impl VeriFs {
     fn resolve_parent<'p>(&self, p: &'p str) -> VfsResult<(u64, &'p str)> {
         path::validate(p)?;
         let (parent, name) = path::split_parent(p)?;
-        let parent_ino = self.resolve(&parent)?;
+        let parent_ino = self.resolve(parent)?;
         if !self.inode(parent_ino)?.is_dir() {
             return Err(Errno::ENOTDIR);
         }

@@ -79,7 +79,8 @@ pub fn is_root(path: &str) -> bool {
     path == "/"
 }
 
-/// Splits a validated non-root path into `(parent, name)`.
+/// Splits a validated non-root path into `(parent, name)`, both borrowed
+/// from it.
 ///
 /// # Errors
 ///
@@ -88,21 +89,16 @@ pub fn is_root(path: &str) -> bool {
 /// # Examples
 ///
 /// ```
-/// assert_eq!(vfs::path::split_parent("/a/b").unwrap(), ("/a".to_string(), "b"));
-/// assert_eq!(vfs::path::split_parent("/a").unwrap(), ("/".to_string(), "a"));
+/// assert_eq!(vfs::path::split_parent("/a/b").unwrap(), ("/a", "b"));
+/// assert_eq!(vfs::path::split_parent("/a").unwrap(), ("/", "a"));
 /// ```
-pub fn split_parent(path: &str) -> VfsResult<(String, &str)> {
+pub fn split_parent(path: &str) -> VfsResult<(&str, &str)> {
     if is_root(path) {
         return Err(Errno::EINVAL);
     }
     let idx = path.rfind('/').expect("validated paths contain '/'");
-    let name = &path[idx + 1..];
-    let parent = if idx == 0 {
-        "/".to_string()
-    } else {
-        path[..idx].to_string()
-    };
-    Ok((parent, name))
+    let parent = if idx == 0 { "/" } else { &path[..idx] };
+    Ok((parent, &path[idx + 1..]))
 }
 
 /// Returns the final component of a validated path (`"/"` for the root).
@@ -221,8 +217,8 @@ mod tests {
 
     #[test]
     fn split_parent_cases() {
-        assert_eq!(split_parent("/a").unwrap(), ("/".to_string(), "a"));
-        assert_eq!(split_parent("/a/b/c").unwrap(), ("/a/b".to_string(), "c"));
+        assert_eq!(split_parent("/a").unwrap(), ("/", "a"));
+        assert_eq!(split_parent("/a/b/c").unwrap(), ("/a/b", "c"));
         assert_eq!(split_parent("/"), Err(Errno::EINVAL));
     }
 

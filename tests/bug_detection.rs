@@ -305,7 +305,7 @@ fn fuse_stale_view_under_interleaved_rename_stat_is_detected() {
                 Box::new(CheckpointTarget::new(m)),
                 Box::new(CheckpointTarget::new(VeriFs::v2())),
             ],
-            vec![vec![rename], vec![stat.clone(), stat]],
+            vec![vec![rename], vec![stat, stat]],
             vec![FsOp::CreateFile {
                 path: "/a".into(),
                 mode: 0o644,

@@ -171,11 +171,7 @@ fn heuristic_is_unsound_under_hardlink_aliasing() {
         heuristic_independent(&a, &b),
         "the legacy heuristic sees two distinct paths"
     );
-    let pool: Vec<FsOp> = prefix
-        .iter()
-        .cloned()
-        .chain([a.clone(), b.clone()])
-        .collect();
+    let pool: Vec<FsOp> = prefix.iter().cloned().chain([a, b]).collect();
     let profile = EffectProfile::from_pool(&pool);
     match mcfs::effect::explain(&a, &b, &profile) {
         Independence::Dependent(c) => assert!(c.aliased, "conflict is via the alias class: {c:?}"),
@@ -282,7 +278,7 @@ fn sequential_independence_is_not_concurrency_independence() {
     let pool: Vec<FsOp> = prefix
         .iter()
         .cloned()
-        .chain([stat.clone(), trunc.clone(), create.clone()])
+        .chain([stat, trunc, create])
         .collect();
     let profile = EffectProfile::from_pool(&pool);
 

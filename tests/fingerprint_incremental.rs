@@ -4,15 +4,18 @@
 //! directories, renames, hardlinks, checkpoint/restore round-trips — the
 //! incrementally maintained hash (invalidate touched paths, reuse every
 //! other cached leaf digest) equals a from-scratch recompute, on multiple
-//! file-system backends. The from-scratch [`abstract_state`] never reads
-//! the cache, so it is an independent oracle.
+//! file-system backends, one of them behind fusesim's kernel caches. The
+//! from-scratch [`abstract_state`] never reads the cache, so it is an
+//! independent oracle.
 
 use std::sync::Arc;
 
+use blockdev::Clock;
+use fusesim::{FuseConfig, FuseMount};
 use proptest::prelude::*;
 
 use mcfs::{
-    abstract_state, execute, AbstractionConfig, CheckedTarget, CheckpointTarget, FsOp,
+    abstract_state, execute, AbstractionConfig, CheckedTarget, CheckpointTarget, FsOp, Name,
     VfsCheckpointTarget,
 };
 use verifs::VeriFs;
@@ -22,12 +25,12 @@ use vfs::FileSystem;
 /// three components, so renames and rmdirs move whole subtrees.
 fn arb_op() -> impl Strategy<Value = FsOp> {
     let path = prop_oneof![
-        Just(Arc::<str>::from("/a")),
-        Just(Arc::<str>::from("/b")),
-        Just(Arc::<str>::from("/d")),
-        Just(Arc::<str>::from("/d/c")),
-        Just(Arc::<str>::from("/d/e")),
-        Just(Arc::<str>::from("/d/c/x")),
+        Just(Name::from("/a")),
+        Just(Name::from("/b")),
+        Just(Name::from("/d")),
+        Just(Name::from("/d/c")),
+        Just(Name::from("/d/e")),
+        Just(Name::from("/d/c/x")),
     ];
     let size = prop_oneof![Just(0u64), Just(1), Just(65), Just(200)];
     let offset = prop_oneof![Just(0u64), Just(10), Just(100)];
@@ -69,17 +72,31 @@ fn arb_op() -> impl Strategy<Value = FsOp> {
     ]
 }
 
-/// The two backends under test: VeriFS2 behind its native checkpoint API,
-/// and ext4 on a RAM device behind VFS-level checkpointing. Both targets
-/// carry a live fingerprint cache snapshotted alongside their state.
+/// The backends under test: VeriFS2 behind its native checkpoint API,
+/// ext4 on a RAM device behind VFS-level checkpointing, and VeriFS2 through
+/// fusesim (kernel dentry/attr caches with short TTLs on a virtual clock,
+/// restores invalidating through the FUSE connection). Every target
+/// carries a live fingerprint cache snapshotted alongside its state.
 fn backends() -> Vec<Box<dyn CheckedTarget>> {
     let mut v2 = VeriFs::v2();
     v2.mount().unwrap();
     let mut e4 = fs_ext::ext4_on_ram(256 * 1024).unwrap();
     e4.mount().unwrap();
+    let fuse_cfg = FuseConfig {
+        entry_ttl_ns: 500_000,
+        attr_ttl_ns: 300_000,
+        ..FuseConfig::default()
+    };
+    let mut fuse = FuseMount::with_config(VeriFs::v2(), fuse_cfg, Some(Clock::new()));
+    let conn = fuse.connection();
+    fuse.daemon_mut()
+        .fs_mut()
+        .set_invalidation_sink(Arc::new(conn));
+    fuse.mount().unwrap();
     vec![
         Box::new(CheckpointTarget::new(v2)),
         Box::new(VfsCheckpointTarget::new(e4)),
+        Box::new(CheckpointTarget::new(fuse)),
     ]
 }
 

@@ -6,21 +6,19 @@
 //! Additional properties cover checkpoint/restore round-trips, device
 //! snapshot semantics, and MD5's incremental-equals-oneshot law.
 
-use std::sync::Arc;
-
 use proptest::prelude::*;
 
-use mcfs::{abstract_state, execute, AbstractionConfig, FsOp};
+use mcfs::{abstract_state, execute, AbstractionConfig, FsOp, Name};
 use verifs::VeriFs;
 use vfs::{FileSystem, FsCheckpoint};
 
 /// Strategy: one operation over a tiny bounded namespace.
 fn arb_op() -> impl Strategy<Value = FsOp> {
     let path = prop_oneof![
-        Just(Arc::<str>::from("/a")),
-        Just(Arc::<str>::from("/b")),
-        Just(Arc::<str>::from("/d")),
-        Just(Arc::<str>::from("/d/c")),
+        Just(Name::from("/a")),
+        Just(Name::from("/b")),
+        Just(Name::from("/d")),
+        Just(Name::from("/d/c")),
     ];
     let size = prop_oneof![Just(0u64), Just(1), Just(65), Just(200)];
     let offset = prop_oneof![Just(0u64), Just(10), Just(100)];
@@ -173,7 +171,7 @@ proptest! {
         if vfs::path::validate(&s).is_ok() && s != "/" {
             // Valid paths always split and rejoin losslessly.
             let (parent, name) = vfs::path::split_parent(&s).unwrap();
-            prop_assert_eq!(vfs::path::join(&parent, name), s);
+            prop_assert_eq!(vfs::path::join(parent, name), s);
         }
     }
 }

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use fusesim::{FuseConfig, FuseMount};
-use mcfs::{execute, FsOp};
+use mcfs::{execute, FsOp, Name};
 use verifs::{VeriFs, VeriFsConfig};
 use vfs::{Fd, FileMode, FileSystem, FsCheckpoint, OpenFlags};
 
@@ -23,7 +23,7 @@ enum Step {
     Op(FsOp),
     /// Open a file and keep the descriptor, so a later unlink leaves an
     /// orphan (its residue is keyed by slot) until [`Step::CloseAll`].
-    Hold(Arc<str>),
+    Hold(Name),
     CloseAll,
     Checkpoint(u64),
     RestoreKeep(u64),
@@ -33,11 +33,11 @@ enum Step {
 
 fn arb_step() -> impl Strategy<Value = Step> {
     let path = prop_oneof![
-        Just(Arc::<str>::from("/a")),
-        Just(Arc::<str>::from("/b")),
-        Just(Arc::<str>::from("/d")),
-        Just(Arc::<str>::from("/d/c")),
-        Just(Arc::<str>::from("/e")),
+        Just(Name::from("/a")),
+        Just(Name::from("/b")),
+        Just(Name::from("/d")),
+        Just(Name::from("/d/c")),
+        Just(Name::from("/e")),
     ];
     // Sizes straddle the 64-byte buffer chunk, so truncates leave residue
     // and hole writes can expose it; writes and truncates are listed twice
@@ -218,28 +218,19 @@ proptest! {
 /// checkpointed digest back.
 #[test]
 fn restore_brings_back_the_checkpointed_digest() {
-    let path: Arc<str> = "/a".into();
+    let path: Name = "/a".into();
     let op = |op: FsOp| (Step::Op(op), true);
     let steps = vec![
-        op(FsOp::CreateFile {
-            path: path.clone(),
-            mode: 0o644,
-        }),
+        op(FsOp::CreateFile { path, mode: 0o644 }),
         op(FsOp::WriteFile {
-            path: path.clone(),
+            path,
             offset: 0,
             size: 100,
             seed: 1,
         }),
-        op(FsOp::Truncate {
-            path: path.clone(),
-            size: 10,
-        }),
+        op(FsOp::Truncate { path, size: 10 }),
         (Step::Checkpoint(1), true),
-        op(FsOp::Truncate {
-            path: path.clone(),
-            size: 5,
-        }),
+        op(FsOp::Truncate { path, size: 5 }),
         (Step::RestoreKeep(1), true),
     ];
     let mut fs = VeriFs::v2();
@@ -260,17 +251,11 @@ fn restore_brings_back_the_checkpointed_digest() {
 /// keys the residue moves to the smaller name, so `link` must reset the memo.
 #[test]
 fn hardlink_to_a_smaller_name_rekeys_the_residue() {
-    let b: Arc<str> = "/b".into();
+    let b: Name = "/b".into();
     let mut steps = setup();
     steps.extend([
         (Step::Op(FsOp::Unlink { path: "/a".into() }), true),
-        (
-            Step::Op(FsOp::Truncate {
-                path: b.clone(),
-                size: 10,
-            }),
-            true,
-        ),
+        (Step::Op(FsOp::Truncate { path: b, size: 10 }), true),
         (
             Step::Op(FsOp::Hardlink {
                 src: b,
@@ -290,17 +275,11 @@ fn hardlink_to_a_smaller_name_rekeys_the_residue() {
 /// last close frees it: the close must reset the memo.
 #[test]
 fn closing_an_orphan_drops_its_residue() {
-    let a: Arc<str> = "/a".into();
+    let a: Name = "/a".into();
     let mut steps = setup();
     steps.extend([
-        (
-            Step::Op(FsOp::Truncate {
-                path: a.clone(),
-                size: 10,
-            }),
-            true,
-        ),
-        (Step::Hold(a.clone()), true),
+        (Step::Op(FsOp::Truncate { path: a, size: 10 }), true),
+        (Step::Hold(a), true),
         (Step::Op(FsOp::Unlink { path: a }), true),
         (Step::CloseAll, true),
     ]);

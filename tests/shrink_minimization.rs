@@ -116,13 +116,13 @@ fn interleave(filler: Vec<FsOp>, gaps: &[u8]) -> Vec<FsOp> {
     let mut p = 0usize;
     for (gap, op) in filler.into_iter().enumerate() {
         while p < 4 && positions[p] <= gap {
-            out.push(pattern[p].clone());
+            out.push(pattern[p]);
             p += 1;
         }
         out.push(op);
     }
     while p < 4 {
-        out.push(pattern[p].clone());
+        out.push(pattern[p]);
         p += 1;
     }
     out
@@ -183,14 +183,14 @@ fn crash_markers_minimize_away_from_a_crash_trace() {
     );
     let pattern = hole_pattern();
     let trace = vec![
-        pattern[0].clone(),
+        pattern[0],
         FsOp::Crash,
-        pattern[1].clone(),
+        pattern[1],
         FsOp::Crash,
         FsOp::Stat { path: "/f0".into() },
-        pattern[2].clone(),
+        pattern[2],
         FsOp::Crash,
-        pattern[3].clone(),
+        pattern[3],
     ];
     let mut recorder = (factory)().expect("factory builds");
     let (idx, msg) = replay(&mut recorder, &trace).expect("hole bug fires through crashes");

@@ -6,14 +6,12 @@
 //! as an uninterrupted run — over both the VeriFS pairing and the
 //! on-disk ext2/ext4 pairing.
 
-use std::sync::Arc;
-
 use blockdev::{Clock, LatencyModel, RamDisk, TimedDevice};
 use fs_ext::{ExtConfig, ExtFs};
 use fusesim::FuseMount;
 use mcfs::{
-    CheckedTarget, CheckpointTarget, FsOp, FsOpCodec, Mcfs, McfsConfig, PoolConfig, RemountMode,
-    RemountTarget,
+    CheckedTarget, CheckpointTarget, FsOp, FsOpCodec, Mcfs, McfsConfig, Name, PoolConfig,
+    RemountMode, RemountTarget,
 };
 use modelcheck::{
     decode_snapshot, encode_snapshot, load_snapshot, run_swarm_persistent, DfsExplorer,
@@ -125,9 +123,9 @@ fn run_to_snapshot(
 /// namespace — the codec must survive all seventeen tags.
 fn arb_op() -> impl Strategy<Value = FsOp> {
     let path = prop_oneof![
-        Just(Arc::<str>::from("/a")),
-        Just(Arc::<str>::from("/d/weird päth")),
-        Just(Arc::<str>::from("/b")),
+        Just(Name::from("/a")),
+        Just(Name::from("/d/weird päth")),
+        Just(Name::from("/b")),
     ];
     prop_oneof![
         (path.clone(), 0u16..0o1000).prop_map(|(path, mode)| FsOp::CreateFile { path, mode }),
